@@ -6,9 +6,9 @@ from .formulas import (
     ClosedFidelity,
     StateCoefficients,
     closed_spectrum,
+    closed_weights,
     epr_closed,
     fidelity_closed,
-    schmidt_coefficient,
     state_coefficients,
     success_probability,
     tmsvs_entropy,
@@ -33,7 +33,6 @@ from .oracle import (
     bs_sector,
     catalyze_oracle,
     cf_fidelity_oracle,
-    displacement_element,
 )
 from .regions import (
     ImplicationTable,
@@ -68,8 +67,8 @@ __all__ = [
     "cf_fidelity_oracle",
     "choose_truncation",
     "closed_spectrum",
+    "closed_weights",
     "common_region",
-    "displacement_element",
     "entropy_of",
     "epr_closed",
     "epr_of",
@@ -78,7 +77,6 @@ __all__ = [
     "make_params",
     "normalize_weights",
     "report",
-    "schmidt_coefficient",
     "state_coefficients",
     "success_probability",
     "sweep",

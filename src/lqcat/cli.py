@@ -4,11 +4,6 @@ exports and the closed-form vs brute-force verification report.
 Output is deterministic: 17-significant-digit decimal formatting, '\\n'
 line endings, and no timestamps.  Exit codes: 0 success, 1 verification
 failure, 2 invalid input, 3 numerical non-convergence, 4 output I/O.
-
-The LQC_THREADS environment variable caps internal parallelism (0 means
-automatic).  Grid evaluation is already vectorized and reductions are
-order-independent, so the current implementation runs single-threaded
-regardless of the cap; the variable is validated and reserved.
 """
 
 from __future__ import annotations
@@ -16,20 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .formulas import (
+    closed_spectrum,
     epr_closed,
     fidelity_closed,
     published_success_probability,
 )
 from .model import (
     DEFAULT_EPS_TRUNC,
-    ENHANCEMENT_GUARD,
     DegeneratePostselectionError,
     ParameterError,
     QuadratureError,
@@ -49,7 +43,7 @@ from .regions import (
     t_range,
     threshold,
 )
-from .report import report
+from .report import report, spectrum_report
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -90,28 +84,18 @@ def _meta_line(no_meta: bool) -> list:
 
 
 def _grid_csv(grid: RegionGrid, no_meta: bool) -> str:
+    """One CSV line per grid cell, row-major; a symmetric grid has T2 = T1."""
     lines = _meta_line(no_meta)
     lines.append(CSV_HEADER)
-    for i, r in enumerate(grid.axis_r):
-        if grid.axis_T2 is None:
-            for j, T in enumerate(grid.axis_T1):
-                delta = grid.values[i, j]
-                lines.append(",".join([
-                    _fmt(r), _fmt(T), _fmt(T), grid.quantity,
-                    _fmt(grid.raw[i, j]), _fmt(grid.baselines[i]),
-                    _fmt(delta),
-                    "true" if delta > ENHANCEMENT_GUARD else "false",
-                ]))
-        else:
-            for j, T1 in enumerate(grid.axis_T1):
-                for k, T2 in enumerate(grid.axis_T2):
-                    delta = grid.values[i, j, k]
-                    lines.append(",".join([
-                        _fmt(r), _fmt(T1), _fmt(T2), grid.quantity,
-                        _fmt(grid.raw[i, j, k]), _fmt(grid.baselines[i]),
-                        _fmt(delta),
-                        "true" if delta > ENHANCEMENT_GUARD else "false",
-                    ]))
+    enhanced = grid.enhanced
+    for cell, delta in np.ndenumerate(grid.values):
+        i, j = cell[:2]
+        T2 = grid.axis_T1[j] if grid.axis_T2 is None else grid.axis_T2[cell[2]]
+        lines.append(",".join([
+            _fmt(grid.axis_r[i]), _fmt(grid.axis_T1[j]), _fmt(T2), grid.quantity,
+            _fmt(grid.raw[cell]), _fmt(grid.baselines[i]), _fmt(delta),
+            "true" if enhanced[cell] else "false",
+        ]))
     return "\n".join(lines) + "\n"
 
 
@@ -121,78 +105,53 @@ def _json_dump(obj, no_meta: bool) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def _oracle_measures(params, quad_points: int):
-    spectrum, p_cd = catalyze_oracle(params)
-    return {
-        "p_cd": p_cd,
-        "entropy": entropy_of(spectrum),
-        "epr": epr_of(spectrum),
-        "fidelity": cf_fidelity_oracle(spectrum, quad_points),
-    }
-
-
 def cmd_measure(args) -> int:
     params = make_params(args.r, args.t1, args.t2)
-    rep = report(params, eps=args.eps, quad_points=args.quad_points)
-    closed = {
-        "p_cd": rep.p_cd,
-        "entropy": rep.entropy,
-        "epr": rep.epr,
-        "fidelity": rep.fidelity,
-    }
-    baselines = {
-        "entropy": rep.baseline_entropy,
-        "epr": rep.baseline_epr,
-        "fidelity": rep.baseline_fidelity,
-    }
+    closed = report(params, eps=args.eps, quad_points=args.quad_points)
     oracle = None
     if args.engine in ("oracle", "both"):
-        oracle = _oracle_measures(params, args.quad_points)
+        oracle = spectrum_report(params, *catalyze_oracle(params), args.quad_points)
     primary = oracle if args.engine == "oracle" else closed
+    measures = {
+        q: {
+            "value": getattr(primary, q),
+            "baseline": getattr(primary, f"baseline_{q}"),
+            "delta": getattr(primary, f"{q}_delta"),
+            "enhanced": getattr(primary, f"{q}_enhanced"),
+        }
+        for q in MEASURES
+    }
+    fields = ("p_cd",) + MEASURES
+    if args.engine == "both":
+        diffs = {k: abs(getattr(closed, k) - getattr(oracle, k)) for k in fields}
 
     if args.json:
         payload = {
             "r": args.r, "T1": args.t1, "T2": args.t2,
             "engine": args.engine,
-            "p_cd": primary["p_cd"],
-            "measures": {
-                q: {
-                    "value": primary[q],
-                    "baseline": baselines[q],
-                    "delta": (baselines[q] - primary[q]) if q == "epr"
-                             else (primary[q] - baselines[q]),
-                    "enhanced": bool(
-                        ((baselines[q] - primary[q]) if q == "epr"
-                         else (primary[q] - baselines[q])) > ENHANCEMENT_GUARD
-                    ),
-                }
-                for q in MEASURES
-            },
+            "p_cd": primary.p_cd,
+            "measures": measures,
         }
         if args.engine == "both":
-            payload["oracle"] = oracle
-            payload["abs_diff"] = {
-                k: abs(closed[k] - oracle[k]) for k in closed
-            }
+            payload["oracle"] = {k: getattr(oracle, k) for k in fields}
+            payload["abs_diff"] = diffs
         _write_text(args.output, _json_dump(payload, args.no_meta))
         return EXIT_OK
 
     lines = [
         f"r  = {_fmt(args.r)}   T1 = {_fmt(args.t1)}   T2 = {_fmt(args.t2)}",
-        f"p_cd      {_fmt(primary['p_cd'])}",
+        f"p_cd      {_fmt(primary.p_cd)}",
         f"{'quantity':<10}{'value':<24}{'baseline':<24}{'delta':<24}enhanced",
     ]
-    for q in MEASURES:
-        value = primary[q]
-        delta = (baselines[q] - value) if q == "epr" else (value - baselines[q])
+    for q, m in measures.items():
         lines.append(
-            f"{q:<10}{_fmt(value):<24}{_fmt(baselines[q]):<24}"
-            f"{_fmt(delta):<24}{'yes' if delta > ENHANCEMENT_GUARD else 'no'}"
+            f"{q:<10}{_fmt(m['value']):<24}{_fmt(m['baseline']):<24}"
+            f"{_fmt(m['delta']):<24}{'yes' if m['enhanced'] else 'no'}"
         )
     if args.engine == "both":
         lines.append("engine comparison (|closed_form - oracle|):")
-        for k in ("p_cd", "entropy", "epr", "fidelity"):
-            lines.append(f"  {k:<10}{_fmt(abs(closed[k] - oracle[k]))}")
+        for k, diff in diffs.items():
+            lines.append(f"  {k:<10}{_fmt(diff)}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -279,8 +238,6 @@ def cmd_verify(args) -> int:
     EPR second-moment tables) are reported as WARNING sections with both
     values and do not affect the exit status.
     """
-    from .formulas import closed_spectrum, tmsvs_entropy, tmsvs_epr, tmsvs_fidelity
-
     spec_grid = VERIFY_GRIDS[args.grid]
     out = []
     failures = 0
@@ -319,14 +276,13 @@ def cmd_verify(args) -> int:
 
     worst = 0.0
     for r in np.arange(0.05, 1.501, 0.05):
-        params = make_params(r, 1.0, 1.0)
-        spec, p = closed_spectrum(params)
+        rep = report(make_params(r, 1.0, 1.0))
         worst = max(
             worst,
-            abs(p - 1.0),
-            abs(entropy_of(spec) - tmsvs_entropy(r)) / 1e2,
-            abs(epr_of(spec) - tmsvs_epr(r)) / 1e2,
-            abs(cf_fidelity_oracle(spec) - tmsvs_fidelity(r)) / 1e4,
+            abs(rep.p_cd - 1.0),
+            abs(rep.entropy_delta) / 1e2,
+            abs(rep.epr_delta) / 1e2,
+            abs(rep.fidelity_delta) / 1e4,
         )
     ok = worst < 1e-12
     failures += not ok
@@ -448,16 +404,6 @@ def _resolve_symmetric(args) -> None:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LQC_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 0:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write(f"error: LQC_THREADS must be an integer >= 0, "
-                             f"got {threads!r}\n")
-            return EXIT_VALIDATION
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

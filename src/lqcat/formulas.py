@@ -15,7 +15,9 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPS_TRUNC,
+    MAX_TRUNCATION,
     CatalysisParams,
+    ParameterError,
     SchmidtSpectrum,
     choose_truncation,
     normalize_weights,
@@ -209,45 +211,38 @@ def published_success_probability(params: CatalysisParams) -> float:
     return p0 * acc
 
 
-def schmidt_coefficient(params: CatalysisParams, n: int, p_cd: float | None = None) -> float:
-    """Twin-Fock weight w_n; unnormalized unless p_cd is supplied.
+def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
+    """Unnormalized weights w~_0 .. w~_N, broadcast over T1 and T2.
 
-    The n = 0 factor ((0+1)T1 - 0)((0+1)T2 - 0)(t1 t2)^(-1) is simplified
-    algebraically to t1*t2, which also covers t_j = 0.
+    w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
+    factor g_n(T) = ((n+1) T - n) t^(n-1).  Its n = 0 value simplifies
+    algebraically to t, which also covers t = 0.  The result has shape
+    broadcast(T1, T2) + (N + 1,); each factor is built on its own shape,
+    so a grid pays for the powers once per axis, not once per cell.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    u = math.tanh(params.r)
-    if n == 0:
-        base = params.t1 * params.t2
-    else:
-        f1 = (n + 1) * params.T1 - n
-        f2 = (n + 1) * params.T2 - n
-        base = f1 * f2 * (params.t1 * params.t2) ** (n - 1)
-    w = base * u**n / math.cosh(params.r)
-    if p_cd is not None:
-        w /= math.sqrt(p_cd)
-    return w
+    n = np.arange(N + 1)
+    power = np.maximum(n - 1, 0)
+    T1 = np.asarray(T1, dtype=float)[..., None]
+    T2 = np.asarray(T2, dtype=float)[..., None]
+    t1, t2 = np.sqrt(T1), np.sqrt(T2)
+    g1 = ((n + 1) * T1 - n) * t1**power
+    g2 = ((n + 1) * T2 - n) * t2**power
+    g1[..., 0] = t1[..., 0]
+    g2[..., 0] = t2[..., 0]
+    return math.tanh(r) ** n / math.cosh(r) * g1 * g2
 
 
 def unnormalized_weights(params: CatalysisParams, N: int) -> np.ndarray:
-    """Vector of unnormalized weights w~_0 .. w~_N."""
-    n = np.arange(N + 1)
-    u = math.tanh(params.r)
-    tt = params.t1 * params.t2
-    f1 = (n + 1) * params.T1 - n
-    f2 = (n + 1) * params.T2 - n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = f1 * f2 * tt ** np.where(n >= 1, n - 1, 0)
-    base[0] = tt
-    return base * u**n / math.cosh(params.r)
+    """Vector of unnormalized weights w~_0 .. w~_N at one point."""
+    return closed_weights(params.r, params.T1, params.T2, N)
 
 
 def closed_spectrum(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC):
     """Schmidt spectrum from the closed form; returns (spectrum, p_cd).
 
-    Truncation is adaptive: the initial N from choose_truncation is grown
-    until the normalized geometric tail estimate drops below eps.
+    Truncation is adaptive: the initial N from choose_truncation is
+    doubled until the normalized geometric tail estimate drops below eps,
+    up to MAX_TRUNCATION.
     """
     N = choose_truncation(params, eps)
     q = params.t1 * params.t2 * math.tanh(params.r)
@@ -258,6 +253,11 @@ def closed_spectrum(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC):
         if tail < eps or q == 0.0:
             break
         N = 2 * N
+        if N > MAX_TRUNCATION:
+            raise ParameterError(
+                f"tail bound {tail} at (r, T1, T2) = ({params.r}, {params.T1}, "
+                f"{params.T2}) needs a truncation above the cap N = {MAX_TRUNCATION}"
+            )
     return SchmidtSpectrum(spectrum.weights, N, tail), norm2
 
 
@@ -370,12 +370,15 @@ def fidelity_closed(params: CatalysisParams, check: bool = True) -> ClosedFideli
 
 
 def tmsvs_entropy(r: float) -> float:
-    """Entanglement entropy (bits) of the un-catalyzed squeezed vacuum."""
+    """Entanglement entropy (bits) of the un-catalyzed squeezed vacuum.
+
+    With x = sinh(r)^2 this is (1+x) log2(1+x) - x log2(x), evaluated
+    through log1p so that it keeps its relative accuracy as r -> 0.
+    """
     if r == 0.0:
         return 0.0
-    ch2 = math.cosh(r) ** 2
-    sh2 = math.sinh(r) ** 2
-    return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
+    x = math.sinh(r) ** 2
+    return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
 
 
 def tmsvs_epr(r: float) -> float:

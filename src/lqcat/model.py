@@ -3,8 +3,8 @@
 The catalyzed two-mode state is diagonal in the twin-Fock basis |n,n>, so
 every quantity of interest reduces to sums over a single list of real
 (signed) Schmidt weights.  This module holds the parameter point, the
-spectrum container, the truncation policy, and the entropy / EPR
-evaluators that act on a spectrum.
+spectrum container, the truncation policy, the entropy / EPR kernels
+over arrays of weights, and the sign rule of enhancement deltas.
 """
 
 from __future__ import annotations
@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 TRUNCATION_FLOOR = 30
+# Largest retained photon number.  An overlap table for it is 2049^2
+# doubles (34 MB); every point with r <= 2 needs at most N = 844.
+MAX_TRUNCATION = 2048
 DEFAULT_EPS_TRUNC = 1e-14
 NORMALIZATION_TOL = 1e-12
+NORM_FLOOR = 1e-300
 
 # Strict-enhancement guard: deltas smaller than this are treated as round-off.
 ENHANCEMENT_GUARD = 1e-12
@@ -64,8 +68,10 @@ def make_params(r: float, T1: float, T2: float) -> CatalysisParams:
         raise ParameterError(f"T2 must be in [0, 1], got {T2}")
     t1 = math.sqrt(T1)
     t2 = math.sqrt(T2)
-    lam = math.atanh(t1 * t2 * math.tanh(r))
-    return CatalysisParams(r=r, T1=T1, T2=T2, t1=t1, t2=t2, lam=lam)
+    q = t1 * t2 * math.tanh(r)
+    if q >= 1.0:
+        raise ParameterError(f"r = {r} is too large: t1 t2 tanh(r) rounds to 1")
+    return CatalysisParams(r=r, T1=T1, T2=T2, t1=t1, t2=t2, lam=math.atanh(q))
 
 
 @dataclass(frozen=True)
@@ -82,18 +88,18 @@ class SchmidtSpectrum:
             raise ValueError(f"spectrum not normalized: sum of squares = {total}")
 
 
-def normalize_weights(unnormalized: np.ndarray, tail_bound: float = 0.0):
+def normalize_weights(unnormalized: np.ndarray):
     """Normalize raw weights; returns (SchmidtSpectrum, squared norm)."""
     w = np.asarray(unnormalized, dtype=float)
     norm2 = float(np.sum(w**2))
-    if norm2 < 1e-300:
+    if norm2 < NORM_FLOOR:
         raise DegeneratePostselectionError(
-            f"postselection norm {norm2} below 1e-300; state is not normalizable"
+            f"postselection norm {norm2} below {NORM_FLOOR}; state is not normalizable"
         )
     spectrum = SchmidtSpectrum(
         weights=w / math.sqrt(norm2),
         truncation=len(w) - 1,
-        tail_bound=tail_bound,
+        tail_bound=0.0,
     )
     return spectrum, norm2
 
@@ -103,7 +109,8 @@ def choose_truncation(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC) -
 
     The squared weights decay like q^(2n) with q = t1*t2*tanh(r), times a
     quadratic-in-n polynomial; the bound below inflates the geometric tail
-    by the quartic (n+2)^4 margin.  Floor N = 30.
+    by the quartic (n+2)^4 margin.  Floor N = 30; raises ParameterError
+    past MAX_TRUNCATION.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
@@ -114,6 +121,11 @@ def choose_truncation(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC) -
     q2 = q * q
     while (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2) >= eps:
         N += 1
+        if N > MAX_TRUNCATION:
+            raise ParameterError(
+                f"(r, T1, T2) = ({params.r}, {params.T1}, {params.T2}) needs a "
+                f"truncation above the cap N = {MAX_TRUNCATION}"
+            )
     return N
 
 
@@ -131,25 +143,43 @@ def tail_estimate(weights: np.ndarray, ratio: float) -> float:
     return float(weights[-1] ** 2) * rho / (1.0 - rho)
 
 
-def entropy_of(spectrum: SchmidtSpectrum) -> float:
-    """Von Neumann entanglement entropy in bits, with 0*log 0 := 0."""
-    w2 = spectrum.weights**2
-    w2 = w2[w2 > 0.0]
-    return float(-np.sum(w2 * np.log2(w2)) + 0.0)
+def entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Von Neumann entanglement entropy in bits over the last axis of
+    normalized weights, with 0*log 0 := 0."""
+    w2 = weights**2
+    return -(w2 * np.log2(np.where(w2 > 0.0, w2, 1.0))).sum(axis=-1) + 0.0
 
 
-def epr_of(spectrum: SchmidtSpectrum) -> float:
-    """Total variance of the EPR pair (x_a - x_b, p_a + p_b).
+def epr_variance(weights: np.ndarray) -> np.ndarray:
+    """Total variance of the EPR pair (x_a - x_b, p_a + p_b) over the last
+    axis of normalized weights.
 
     For a twin-Fock-diagonal state the first moments vanish and
     <a+a> = <b+b> = sum n w_n^2, <ab> = sum (n+1) w_n w_{n+1}; values
     below 2 certify entanglement.  Signs of the weights are kept.
     """
-    w = spectrum.weights
-    n = np.arange(len(w))
-    n_mean = float(np.sum(n * w**2))
-    ab = float(np.sum((n[:-1] + 1) * w[:-1] * w[1:]))
+    n = np.arange(weights.shape[-1])
+    n_mean = weights**2 @ n
+    ab = ((n[:-1] + 1) * weights[..., :-1] * weights[..., 1:]).sum(axis=-1)
     return 2.0 * (1.0 + 2.0 * n_mean - 2.0 * ab)
+
+
+def entropy_of(spectrum: SchmidtSpectrum) -> float:
+    """Entanglement entropy in bits of one spectrum."""
+    return float(entropy_bits(spectrum.weights))
+
+
+def epr_of(spectrum: SchmidtSpectrum) -> float:
+    """EPR total variance of one spectrum."""
+    return float(epr_variance(spectrum.weights))
+
+
+def delta(quantity: str, value, baseline):
+    """Enhancement delta, positive when catalysis beats the baseline.
+
+    A smaller EPR variance is better, so its delta is baseline - value.
+    """
+    return baseline - value if quantity == "epr" else value - baseline
 
 
 @dataclass(frozen=True)
@@ -167,16 +197,15 @@ class MeasureReport:
 
     @property
     def entropy_delta(self) -> float:
-        return self.entropy - self.baseline_entropy
+        return delta("entropy", self.entropy, self.baseline_entropy)
 
     @property
     def epr_delta(self) -> float:
-        # Positive means enhanced: the catalyzed variance is smaller.
-        return self.baseline_epr - self.epr
+        return delta("epr", self.epr, self.baseline_epr)
 
     @property
     def fidelity_delta(self) -> float:
-        return self.fidelity - self.baseline_fidelity
+        return delta("fidelity", self.fidelity, self.baseline_fidelity)
 
     @property
     def entropy_enhanced(self) -> bool:

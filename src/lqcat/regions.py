@@ -19,33 +19,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .formulas import tmsvs_entropy, tmsvs_epr, tmsvs_fidelity
+from .formulas import closed_weights, tmsvs_entropy, tmsvs_epr, tmsvs_fidelity
 from .model import (
-    DEFAULT_EPS_TRUNC,
     ENHANCEMENT_GUARD,
+    NORM_FLOOR,
     ParameterError,
-    QuadratureError,
     choose_truncation,
+    delta,
+    entropy_bits,
     entropy_of,
     epr_of,
+    epr_variance,
     make_params,
 )
-from .oracle import (
-    DEFAULT_QUAD_POINTS,
-    QUADRATURE_RTOL,
-    _table_for,
-    catalyze_oracle,
-    cf_fidelity_oracle,
-)
+from .oracle import catalyze_oracle, cf_fidelity, cf_fidelity_oracle
 
 QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
 MEASURES = ("entropy", "epr", "fidelity")
 
 GRID_CAP = 10**7
+SWEEP_BLOCK = 1 << 16
 R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
 DEFAULT_TOL = 1e-3
@@ -65,98 +63,66 @@ def _baseline(quantity: str, r: float) -> float:
     raise ParameterError(f"unknown quantity {quantity!r}")
 
 
-def _bs_factors(T: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Catalysis amplitude factor ((n+1) T - n) t^(n-1) per (T, n) pair.
-
-    The n = 0 column reduces algebraically to t and is set explicitly so
-    the t^(n-1) power is never evaluated at t = 0.
-    """
-    t = np.sqrt(T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = ((n + 1) * T[:, None] - n) * t[:, None] ** (n - 1)
-    g[:, 0] = t
-    return g
-
-
-def _fidelity_rows(W: np.ndarray, quad_points: int) -> np.ndarray:
-    """CF-quadrature fidelity for every row of normalized weights W."""
-    N = W.shape[1] - 1
-    table1 = _table_for(N, quad_points)[: N + 1, : N + 1]
-    table2 = _table_for(N, 2 * quad_points)[: N + 1, : N + 1]
-    f1 = np.einsum("ri,ij,rj->r", W, table1, W)
-    f2 = np.einsum("ri,ij,rj->r", W, table2, W)
-    err = np.max(np.abs(f2 - f1), initial=0.0)
-    if err > QUADRATURE_RTOL * max(1.0, float(np.max(np.abs(f2), initial=0.0))):
-        raise QuadratureError(
-            f"fidelity quadrature not converged on grid row: max diff {err} "
-            f"at {quad_points}/{2 * quad_points} nodes"
-        )
-    return f2
-
-
 @dataclass(frozen=True)
 class RowMeasures:
-    """All measure values along one r = const row of symmetric points."""
+    """Measures along one r = const row of points, each evaluated on first read.
+
+    raw holds each point's unnormalized closed-form weights on its last
+    axis.  Where the heralding probability underflows, every measure but
+    pcd is NaN.
+    """
 
     r: float
-    T: np.ndarray
-    pcd: np.ndarray
-    entropy: np.ndarray
-    epr: np.ndarray
-    fidelity: np.ndarray
+    raw: np.ndarray
+
+    @cached_property
+    def pcd(self) -> np.ndarray:
+        return (self.raw**2).sum(axis=-1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Normalized weights, zero where the heralding probability underflows."""
+        safe = (self.pcd > NORM_FLOOR)[..., None]
+        return np.divide(self.raw, np.sqrt(self.pcd)[..., None],
+                         out=np.zeros_like(self.raw), where=safe)
+
+    def _measure(self, kernel) -> np.ndarray:
+        return np.where(self.pcd > NORM_FLOOR, kernel(self.weights), np.nan)
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        return self._measure(entropy_bits)
+
+    @cached_property
+    def epr(self) -> np.ndarray:
+        return self._measure(epr_variance)
+
+    @cached_property
+    def fidelity(self) -> np.ndarray:
+        return self._measure(cf_fidelity)
 
     def values(self, quantity: str) -> np.ndarray:
         return getattr(self, quantity)
 
     def deltas(self, quantity: str) -> np.ndarray:
-        base = _baseline(quantity, self.r)
-        if quantity == "epr":
-            # Smaller variance is better, so the delta is baseline - value.
-            return base - self.epr
-        return self.values(quantity) - base
+        return delta(quantity, self.values(quantity), _baseline(quantity, self.r))
 
 
-def symmetric_row(r: float, T: np.ndarray, eps: float = DEFAULT_EPS_TRUNC,
-                  quad_points: int = DEFAULT_QUAD_POINTS) -> RowMeasures:
-    """Evaluate every measure at (r, T, T) for a whole array of T at once.
+def symmetric_row(r: float, T: np.ndarray) -> RowMeasures:
+    """Measures at (r, T, T) for a whole array of T at once.
 
-    Vectorizes the closed-form weights over the row and reuses the cached
-    displacement-overlap table, so a 1000-point row costs about as much
-    as a handful of single-point evaluations.
+    The closed-form weights are built for the whole row, and each measure
+    is evaluated over it only when read, so an entropy or EPR search never
+    builds a fidelity overlap table.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 1:
         raise ParameterError("T must be a 1-D array")
     if len(T) and (T.min() < 0.0 or T.max() > 1.0):
         raise ParameterError("T values must lie in [0, 1]")
-    if not math.isfinite(r) or r < 0.0:
-        raise ParameterError(f"r must be finite and >= 0, got {r}")
-
     Tmax = float(T.max()) if len(T) else 0.0
-    N = choose_truncation(make_params(r, Tmax, Tmax), eps)
-    n = np.arange(N + 1)
-    u = math.tanh(r)
-    g = _bs_factors(T, n)
-    raw = (u**n / math.cosh(r)) * g * g
-    norm2 = np.sum(raw**2, axis=1)
-    safe = norm2 > 1e-300
-    W = np.zeros_like(raw)
-    W[safe] = raw[safe] / np.sqrt(norm2[safe, None])
-
-    w2 = W**2
-    logw2 = np.where(w2 > 0.0, np.log2(np.where(w2 > 0.0, w2, 1.0)), 0.0)
-    entropy = -np.sum(w2 * logw2, axis=1) + 0.0
-    n_mean = w2 @ n
-    ab = np.sum((n[:-1] + 1) * W[:, :-1] * W[:, 1:], axis=1)
-    epr = 2.0 * (1.0 + 2.0 * n_mean - 2.0 * ab)
-    fidelity = _fidelity_rows(W, quad_points)
-
-    bad = ~safe
-    if np.any(bad):
-        for arr in (entropy, epr, fidelity):
-            arr[bad] = np.nan
-    return RowMeasures(r=r, T=T, pcd=norm2, entropy=entropy, epr=epr,
-                       fidelity=fidelity)
+    N = choose_truncation(make_params(r, Tmax, Tmax))
+    return RowMeasures(r=r, raw=closed_weights(r, T, T, N))
 
 
 def _point_delta(quantity: str, r: float, T: float) -> float:
@@ -237,54 +203,26 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     axis_T2 = np.asarray(T2_values, dtype=float)
     _check_cap(axis_r, axis_T1, axis_T2)
 
-    shape = (len(axis_r), len(axis_T1), len(axis_T2))
-    raw = np.empty(shape)
+    raw = np.empty((len(axis_r), len(axis_T1), len(axis_T2)))
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
 
-    if engine == "oracle":
-        for i, r in enumerate(axis_r):
-            for j, T1 in enumerate(axis_T1):
-                for k, T2 in enumerate(axis_T2):
-                    raw[i, j, k] = _oracle_point(quantity, r, T1, T2)
-    else:
-        n_cols = None
-        for i, r in enumerate(axis_r):
-            N = choose_truncation(
-                make_params(r, float(axis_T1.max()), float(axis_T2.max()))
-            )
-            n = np.arange(N + 1)
-            g1 = _bs_factors(axis_T1, n)
-            g2 = _bs_factors(axis_T2, n)
-            pref = math.tanh(r) ** n / math.cosh(r)
-            for j in range(len(axis_T1)):
-                rows = pref * g1[j] * g2
-                norm2 = np.sum(rows**2, axis=1)
-                if quantity == "pcd":
-                    raw[i, j] = norm2
-                    continue
-                safe = norm2 > 1e-300
-                W = np.zeros_like(rows)
-                W[safe] = rows[safe] / np.sqrt(norm2[safe, None])
-                if quantity == "entropy":
-                    w2 = W**2
-                    logw2 = np.where(w2 > 0.0,
-                                     np.log2(np.where(w2 > 0.0, w2, 1.0)), 0.0)
-                    vals = -np.sum(w2 * logw2, axis=1)
-                elif quantity == "epr":
-                    w2 = W**2
-                    n_mean = w2 @ n
-                    ab = np.sum((n[:-1] + 1) * W[:, :-1] * W[:, 1:], axis=1)
-                    vals = 2.0 * (1.0 + 2.0 * n_mean - 2.0 * ab)
-                else:
-                    vals = _fidelity_rows(W, DEFAULT_QUAD_POINTS)
-                vals = np.where(safe, vals, np.nan)
-                raw[i, j] = vals
-            n_cols = N
+    for i, r in enumerate(axis_r):
+        if engine == "oracle":
+            raw[i] = [[_oracle_point(quantity, r, T1, T2) for T2 in axis_T2]
+                      for T1 in axis_T1]
+            continue
+        N = choose_truncation(
+            make_params(r, float(axis_T1.max()), float(axis_T2.max()))
+        )
+        # Blocks of T1 share one evaluation of the T2 factors, and bound
+        # every temporary at SWEEP_BLOCK doubles.
+        step = max(1, SWEEP_BLOCK // (len(axis_T2) * (N + 1)))
+        for j in range(0, len(axis_T1), step):
+            T1 = axis_T1[j:j + step, None]
+            rows = RowMeasures(r=r, raw=closed_weights(r, T1, axis_T2, N))
+            raw[i, j:j + step] = rows.values(quantity)
 
-    if quantity == "epr":
-        values = baselines[:, None, None] - raw
-    else:
-        values = raw - baselines[:, None, None]
+    values = delta(quantity, raw, baselines[:, None, None])
     return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T1,
                       axis_T2=axis_T2, values=values, raw=raw,
                       baselines=baselines)
@@ -310,12 +248,10 @@ def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
     axis_T = np.asarray(T_values, dtype=float)
     _check_cap(axis_r, axis_T)
     raw = np.empty((len(axis_r), len(axis_T)))
-    values = np.empty_like(raw)
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
     for i, r in enumerate(axis_r):
-        row = symmetric_row(r, axis_T)
-        raw[i] = row.values(quantity)
-        values[i] = row.deltas(quantity)
+        raw[i] = symmetric_row(r, axis_T).values(quantity)
+    values = delta(quantity, raw, baselines[:, None])
     return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T,
                       axis_T2=None, values=values, raw=raw,
                       baselines=baselines)
@@ -328,9 +264,6 @@ class ThresholdResult:
     quantity: str
     r_star: float
     tolerance: float
-
-    def t_range_at(self, r: float, tol: float | None = None):
-        return t_range(self.quantity, r, tol if tol is not None else self.tolerance)
 
 
 def _enhancement_exists(quantity: str, r: float) -> bool:
@@ -518,10 +451,7 @@ def common_region(resolution: int = 200) -> RegionGrid:
     values = np.empty((len(r_axis), len(T_axis)))
     for i, r in enumerate(r_axis):
         row = symmetric_row(r, T_axis)
-        values[i] = np.minimum(
-            row.deltas("entropy"),
-            np.minimum(row.deltas("epr"), row.deltas("fidelity")),
-        )
+        values[i] = np.min([row.deltas(q) for q in MEASURES], axis=0)
     return RegionGrid(quantity="common", axis_r=r_axis, axis_T1=T_axis,
                       axis_T2=None, values=values, raw=values.copy(),
                       baselines=np.zeros(len(r_axis)))

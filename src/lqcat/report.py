@@ -8,7 +8,14 @@ from .formulas import (
     tmsvs_epr,
     tmsvs_fidelity,
 )
-from .model import DEFAULT_EPS_TRUNC, CatalysisParams, MeasureReport, entropy_of, epr_of
+from .model import (
+    DEFAULT_EPS_TRUNC,
+    CatalysisParams,
+    MeasureReport,
+    SchmidtSpectrum,
+    entropy_of,
+    epr_of,
+)
 from .oracle import DEFAULT_QUAD_POINTS, cf_fidelity_oracle
 
 
@@ -25,13 +32,20 @@ def report(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC,
     spectrum-based and oracle-verified.
     """
     spectrum, p_cd = closed_spectrum(params, eps)
-    fidelity = cf_fidelity_oracle(spectrum, quad_points)
+    return spectrum_report(params, spectrum, p_cd, quad_points)
+
+
+def spectrum_report(params: CatalysisParams, spectrum: SchmidtSpectrum,
+                    p_cd: float,
+                    quad_points: int = DEFAULT_QUAD_POINTS) -> MeasureReport:
+    """All measures of the spectrum of the state at params, from either
+    route, with the baselines at params.r."""
     return MeasureReport(
         params=params,
         p_cd=p_cd,
         entropy=entropy_of(spectrum),
         epr=epr_of(spectrum),
-        fidelity=min(max(fidelity, 0.0), 1.0),
+        fidelity=cf_fidelity_oracle(spectrum, quad_points),
         baseline_entropy=tmsvs_entropy(params.r),
         baseline_epr=tmsvs_epr(params.r),
         baseline_fidelity=tmsvs_fidelity(params.r),

@@ -54,6 +54,14 @@ class TestMeasure:
         assert run(capsys, "measure", "--r", "0.5", "--t", "0.5",
                    "--t1", "0.2")[0] == 2
 
+    def test_domain_bound_exit_code(self, capsys):
+        code, _, err = run(capsys, "measure", "--r", "25", "--t", "1")
+        assert code == 2
+        assert "error: r = 25.0 is too large" in err
+        code, _, err = run(capsys, "measure", "--r", "5", "--t", "1")
+        assert code == 2
+        assert "truncation above the cap N = 2048" in err
+
 
 class TestSweep:
     def test_csv_format(self, capsys):
@@ -147,12 +155,3 @@ class TestVerify:
         assert "VERIFY: PASS" in out
         assert "spectrum vs circuit oracle       PASS" in out
 
-
-class TestEnvironment:
-    def test_threads_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("LQC_THREADS", "banana")
-        assert main(["measure", "--r", "0.1", "--t", "0.5"]) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("LQC_THREADS", "4")
-        assert main(["measure", "--r", "0.1", "--t", "0.5"]) == 0
-        capsys.readouterr()

@@ -2,20 +2,22 @@
 the direct weight sums."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lqcat.formulas
 from lqcat.formulas import (
     closed_spectrum,
+    closed_weights,
     epr_closed,
     fidelity_closed,
     mean_photon_a,
     mean_photon_b,
     pair_correlation,
-    schmidt_coefficient,
     state_coefficients,
     success_probability,
     tmsvs_entropy,
@@ -23,7 +25,7 @@ from lqcat.formulas import (
     tmsvs_fidelity,
     unnormalized_weights,
 )
-from lqcat.model import entropy_of, epr_of, make_params
+from lqcat.model import ParameterError, entropy_of, epr_of, make_params
 
 params_strategy = st.builds(
     make_params,
@@ -72,23 +74,22 @@ class TestSuccessProbability:
 
 
 class TestSchmidtWeights:
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            schmidt_coefficient(make_params(0.5, 0.5, 0.5), -1)
-
     def test_vector_matches_scalar(self):
-        params = make_params(0.4, 0.3, 0.7)
-        raw = unnormalized_weights(params, 12)
-        for n in range(13):
-            assert raw[n] == pytest.approx(
-                schmidt_coefficient(params, n), abs=1e-16
-            )
+        # Broadcasting over (T1, T2) gives every point its own weights.
+        T1 = np.array([0.0, 0.3, 0.5, 1.0])[:, None]
+        T2 = np.array([0.2, 0.7, 1.0])
+        batch = closed_weights(0.4, T1, T2, 12)
+        assert batch.shape == (4, 3, 13)
+        for i, a in enumerate(T1[:, 0]):
+            for j, b in enumerate(T2):
+                scalar = unnormalized_weights(make_params(0.4, a, b), 12)
+                assert np.array_equal(batch[i, j], scalar)
 
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)
-        p = success_probability(params)
-        total = sum(schmidt_coefficient(params, n, p) ** 2 for n in range(200))
-        assert total == pytest.approx(1.0, abs=1e-13)
+        spec, p = closed_spectrum(params)
+        raw = unnormalized_weights(params, spec.truncation)
+        assert np.allclose(spec.weights, raw / math.sqrt(p), rtol=1e-14, atol=0.0)
 
     @given(params_strategy)
     @settings(max_examples=60, deadline=None)
@@ -99,6 +100,7 @@ class TestSchmidtWeights:
         coeff = state_coefficients(params)
         q = math.tanh(params.lam)
         p = success_probability(params)
+        weights = unnormalized_weights(params, 7) / math.sqrt(p)
         for n in range(8):
             expect = coeff.c0 * q**n
             if n >= 1:
@@ -106,14 +108,18 @@ class TestSchmidtWeights:
             if n >= 2:
                 expect += coeff.c2 * n * (n - 1) * q ** (n - 2)
             expect /= math.cosh(params.lam)
-            assert schmidt_coefficient(params, n, p) == pytest.approx(
-                expect, rel=1e-9, abs=1e-12
-            )
+            assert weights[n] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
     def test_closed_spectrum_normalized_and_tailed(self):
         spec, p = closed_spectrum(make_params(0.9, 0.8, 0.6))
         assert float(np.sum(spec.weights**2)) == pytest.approx(1.0, abs=1e-12)
         assert spec.tail_bound < 1e-14
+
+    def test_truncation_doubling_is_capped(self, monkeypatch):
+        # A tail bound that never converges doubles N up to the cap, then stops.
+        monkeypatch.setattr(lqcat.formulas, "tail_estimate", lambda w, q: math.inf)
+        with pytest.raises(ParameterError, match="cap"):
+            closed_spectrum(make_params(0.5, 0.5, 0.5))
 
 
 class TestMomentPolynomials:
@@ -182,6 +188,17 @@ class TestFidelityPolynomial:
 class TestBaselines:
     def test_entropy_at_zero(self):
         assert tmsvs_entropy(0.0) == 0.0
+
+    @pytest.mark.parametrize("r", [1e-5, 1e-3, 0.1, 2.0])
+    def test_entropy_against_decimal_reference(self, r):
+        # (1+x) log2(1+x) - x log2(x), x = sinh(r)^2, at 40 digits.  The
+        # cosh^2/sinh^2 form cancelled: 3.4e-9 relative error at r = 1e-5.
+        with localcontext() as ctx:
+            ctx.prec = 40
+            e = Decimal(r).exp()
+            x = ((e - 1 / e) / 2) ** 2
+            expect = ((1 + x) * (1 + x).ln() - x * x.ln()) / Decimal(2).ln()
+        assert tmsvs_entropy(r) == pytest.approx(float(expect), rel=1e-14, abs=0.0)
 
     def test_entropy_matches_direct_sum(self):
         r = 0.5

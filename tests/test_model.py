@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqcat.model import (
+    MAX_TRUNCATION,
     DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
@@ -39,6 +40,7 @@ class TestMakeParams:
         (0.5, -0.01, 0.5),
         (0.5, 0.5, 1.01),
         (0.5, math.inf, 0.5),
+        (25.0, 1.0, 1.0),  # t1 t2 tanh(r) rounds to 1
     ])
     def test_rejects_bad_inputs(self, r, T1, T2):
         with pytest.raises(ParameterError):
@@ -80,6 +82,15 @@ class TestTruncation:
             float(np.sum((q ** np.arange(41)) ** 2))
         )
         assert tail_estimate(w, q) >= exact_tail
+
+    def test_cap(self):
+        # (2, 1, 1), the end of the threshold bracket, is the largest N in
+        # use.  r = 5 needed N = 514,619 (overlap tables of ~2 TB) and r = 8
+        # searched for over 20 s; both now stop at the cap, allocating nothing.
+        assert choose_truncation(make_params(2.0, 1.0, 1.0)) == 844
+        for r in (5.0, 8.0):
+            with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
+                choose_truncation(make_params(r, 1.0, 1.0))
 
     def test_eps_validation(self):
         with pytest.raises(ParameterError):

@@ -12,23 +12,14 @@ from scipy.linalg import expm
 
 from lqcat.formulas import closed_spectrum, tmsvs_fidelity
 from lqcat.model import make_params, normalize_weights
-from lqcat.oracle import (
-    bs_sector,
-    catalyze_oracle,
-    cf_fidelity_oracle,
-    displacement_element,
-)
+from lqcat.oracle import bs_sector, catalyze_oracle, cf_fidelity_oracle
 
 
 class TestSectorUnitary:
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
     def test_unitary(self, m):
-        U = bs_sector(0.7, m).matrix
+        U = bs_sector(0.7, m)
         assert np.allclose(U @ U.T, np.eye(m + 1), atol=1e-13)
-
-    def test_element_conservation_guard(self):
-        with pytest.raises(ValueError):
-            bs_sector(0.3, 2).element(2, 1, 1, 1)
 
     def test_negative_sector_rejected(self):
         with pytest.raises(ValueError):
@@ -51,9 +42,7 @@ class TestSectorUnitary:
             for j_out in range(m + 1):
                 for j_in in range(m + 1):
                     dense = U[idx(m - j_out, j_out), idx(m - j_in, j_in)]
-                    assert sector.element(m - j_out, j_out, m - j_in, j_in) == (
-                        pytest.approx(dense, abs=1e-12)
-                    )
+                    assert sector[j_out, j_in] == pytest.approx(dense, abs=1e-12)
 
 
 class TestCatalyzeOracle:
@@ -97,43 +86,6 @@ class TestCatalyzeOracle:
         assert p_c == pytest.approx(p_o, abs=1e-12)
         n = min(len(spec_c.weights), len(spec_o.weights))
         assert np.max(np.abs(spec_c.weights[:n] - spec_o.weights[:n])) < 1e-12
-
-
-class TestDisplacementElement:
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            displacement_element(-1, 0, 1.0)
-        with pytest.raises(ValueError):
-            displacement_element(0, 0, -1.0)
-
-    def test_at_zero(self):
-        assert displacement_element(3, 3, 0.0) == 1.0
-        assert displacement_element(3, 4, 0.0) == 0.0
-
-    def test_symmetry(self):
-        assert displacement_element(2, 7, 1.3) == pytest.approx(
-            displacement_element(7, 2, 1.3), abs=1e-15
-        )
-
-    @pytest.mark.parametrize("z", [0.3, 1.1 + 0.7j, 2.0j])
-    def test_matches_dense_displacement_operator(self, z):
-        D = 60
-        a = np.diag(np.sqrt(np.arange(1, D)), 1)
-        Dz = expm(z * a.T.conj() - np.conj(z) * a)
-        Dzs = expm(np.conj(z) * a.T.conj() - z * a)
-        s = abs(z) ** 2
-        for m in (0, 1, 4, 9):
-            for n in (0, 2, 5, 11):
-                product = (Dzs[m, n] * Dz[m, n]).real
-                assert displacement_element(m, n, s) ** 2 == pytest.approx(
-                    product, abs=1e-12
-                )
-
-    def test_large_index_stays_bounded(self):
-        # The normalized element never exceeds 1 in magnitude, even at
-        # photon numbers where factorial prefactors would overflow.
-        for s in (0.5, 5.0, 40.0):
-            assert abs(displacement_element(400, 420, s)) <= 1.0
 
 
 def _cartesian_fidelity(weights, nodes=48):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lqcat import regions
 from lqcat.model import ParameterError, make_params
 from lqcat.regions import (
     common_region,
@@ -56,6 +57,37 @@ class TestSweep:
         assert grid.values[0, 0, 0] == pytest.approx(
             grid.baselines[0] - grid.raw[0, 0, 0], abs=1e-15
         )
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity", "pcd"])
+    def test_off_diagonal_cells_match_report(self, quantity):
+        r_axis, T1_axis, T2_axis = [0.2, 0.6], [0.1, 0.45, 0.9], [0.3, 0.75]
+        grid = sweep(quantity, r_axis, T1_axis, T2_axis)
+        for i, r in enumerate(r_axis):
+            for j, T1 in enumerate(T1_axis):
+                for k, T2 in enumerate(T2_axis):
+                    rep = report(make_params(r, T1, T2))
+                    if quantity == "pcd":
+                        assert grid.raw[i, j, k] == pytest.approx(rep.p_cd, rel=1e-12)
+                        continue
+                    assert grid.raw[i, j, k] == pytest.approx(
+                        getattr(rep, quantity), abs=1e-12
+                    )
+                    assert grid.values[i, j, k] == pytest.approx(
+                        getattr(rep, f"{quantity}_delta"), abs=1e-12
+                    )
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity", "pcd"])
+    def test_swapping_axes_transposes(self, quantity):
+        A, B = [0.1, 0.45, 0.9], [0.3, 0.75]
+        ab = sweep(quantity, [0.3, 0.7], A, B)
+        ba = sweep(quantity, [0.3, 0.7], B, A)
+        assert np.allclose(ab.raw, ba.raw.transpose(0, 2, 1), rtol=0.0, atol=1e-13)
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        args = ("fidelity", [0.3, 0.7], np.linspace(0.05, 0.95, 7), [0.2, 0.5, 0.8])
+        whole = sweep(*args)
+        monkeypatch.setattr(regions, "SWEEP_BLOCK", 1)  # one T1 per block
+        assert np.allclose(sweep(*args).raw, whole.raw, rtol=0.0, atol=1e-15)
 
     def test_engines_agree(self):
         ref = sweep("entropy", [0.4], [0.2, 0.7], [0.3], engine="closed_form")
