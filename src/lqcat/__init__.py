@@ -5,6 +5,7 @@ measures, and parameter-space feasibility analysis."""
 from .formulas import (
     ClosedFidelity,
     StateCoefficients,
+    closed_measures,
     closed_spectrum,
     closed_weights,
     epr_closed,
@@ -66,6 +67,7 @@ __all__ = [
     "catalyze_oracle",
     "cf_fidelity_oracle",
     "choose_truncation",
+    "closed_measures",
     "closed_spectrum",
     "closed_weights",
     "common_region",

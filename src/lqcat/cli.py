@@ -3,7 +3,8 @@ exports and the closed-form vs brute-force verification report.
 
 Output is deterministic: 17-significant-digit decimal formatting, '\\n'
 line endings, and no timestamps.  Exit codes: 0 success, 1 verification
-failure, 2 invalid input, 3 numerical non-convergence, 4 output I/O.
+failure, 2 invalid input, 3 non-convergence of the CF quadrature, which
+only the oracle engine and verify run, 4 output I/O.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .formulas import (
+    closed_measures,
     closed_spectrum,
     epr_closed,
     fidelity_closed,
@@ -107,7 +109,7 @@ def _json_dump(obj, no_meta: bool) -> str:
 
 def cmd_measure(args) -> int:
     params = make_params(args.r, args.t1, args.t2)
-    closed = report(params, eps=args.eps, quad_points=args.quad_points)
+    closed = report(params, eps=args.eps)
     oracle = None
     if args.engine in ("oracle", "both"):
         oracle = spectrum_report(params, *catalyze_oracle(params), args.quad_points)
@@ -230,19 +232,22 @@ def cmd_verify(args) -> int:
     """Cross-check every closed form against the brute-force routes.
 
     Hard checks (any failure exits 1): closed-form spectrum and p_cd
-    against the sector-exact circuit simulation, the printed p_cd
-    polynomial against the squared norm of the weights, the T1 = T2 = 1
-    identity line, and the T1 = 0 twin-Fock line.  The two published
-    moment polynomials that are known not to match the exact spectrum
-    (the fidelity polynomial, which misses its own T = 1 limit, and the
-    EPR second-moment tables) are reported as WARNING sections with both
-    values and do not affect the exit status.
+    against the sector-exact circuit simulation, the truncation-free
+    closed forms against the spectrum's squared norm, its EPR variance
+    and its CF-quadrature fidelity, the printed p_cd polynomial against
+    the squared norm of the weights, the T1 = T2 = 1 identity line, and
+    the T1 = 0 twin-Fock line.  The two published moment polynomials that
+    are known not to match the exact spectrum (the fidelity polynomial,
+    which misses its own T = 1 limit, and the EPR second-moment tables)
+    are reported as WARNING sections with both values and do not affect
+    the exit status.
     """
     spec_grid = VERIFY_GRIDS[args.grid]
     out = []
     failures = 0
 
     max_dw = max_dp = max_rel_pcd = 0.0
+    max_form = [0.0, 0.0, 0.0]  # rel. p_cd, abs. EPR, abs. fidelity
     max_depr = (0.0, None)
     max_dfid = (0.0, None)
     for r in spec_grid["r"]:
@@ -264,11 +269,21 @@ def cmd_verify(args) -> int:
                 d_fid = abs(fc.value - fc.oracle_value)
                 if d_fid > max_dfid[0]:
                     max_dfid = (d_fid, (r, T1, T2))
+                p_f, epr_f, fid_f = closed_measures(r, T1, T2)
+                for k, diff in enumerate((abs(p_f - p_c) / p_c,
+                                          abs(epr_f - epr_of(spec_c)),
+                                          abs(fid_f - fc.oracle_value))):
+                    max_form[k] = max(max_form[k], diff)
     ok = max_dw < 1e-10 and max_dp < 1e-10
     failures += not ok
     out.append(f"spectrum vs circuit oracle       "
                f"{'PASS' if ok else 'FAIL'}  "
                f"max|dw| = {max_dw:.3e}  max|dp| = {max_dp:.3e}")
+    ok = max(max_form) < 1e-10
+    failures += not ok
+    out.append(f"closed forms vs spectrum sums    "
+               f"{'PASS' if ok else 'FAIL'}  max rel dp = {max_form[0]:.3e}  "
+               f"max|dEPR| = {max_form[1]:.3e}  max|dF| = {max_form[2]:.3e}")
     ok = max_rel_pcd < 1e-10
     failures += not ok
     out.append(f"printed p_cd polynomial          "
@@ -350,9 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="closed_form")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS_TRUNC,
-                   help="truncation tail target")
+                   help="truncation tail target of the spectrum the "
+                        "entropy is summed over")
     p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
-                   help="Gauss-Laguerre nodes for the fidelity quadrature")
+                   help="Gauss-Laguerre nodes for the CF-quadrature fidelity "
+                        "of the oracle engine (--engine oracle|both); the "
+                        "closed-form engine sums the fidelity exactly")
     _add_common(p)
     p.set_defaults(func=cmd_measure)
 

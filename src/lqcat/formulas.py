@@ -1,9 +1,13 @@
-"""Published closed-form expressions for the catalyzed state.
+"""Closed-form expressions for the catalyzed state.
 
-Every coefficient table is transcribed verbatim as an explicit
-integer-coefficient monomial list in (t1, t2), so a transcription error
-stays localized and diffable.  Nothing here is re-derived; the
-independent check lives in lqcat.oracle.
+Two kinds live here.  The published coefficient tables are transcribed
+verbatim as explicit integer-coefficient monomial lists in (t1, t2), so a
+transcription error stays localized and diffable; they are cross-checks
+only.  closed_weights and closed_measures are derived from the heralded
+state itself, w~_n = Q(n) q^n / (t1 t2 cosh r): the first builds the
+weights, the second sums p_cd, the EPR variance and the teleportation
+fidelity over all n with no truncation.  The independent checks live in
+lqcat.oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import numpy as np
 from .model import (
     DEFAULT_EPS_TRUNC,
     MAX_TRUNCATION,
+    NORM_FLOOR,
     CatalysisParams,
+    DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
     choose_truncation,
@@ -187,13 +193,19 @@ def _poly_in_u(table, t1: float, t2: float, u: float) -> float:
 def success_probability(params: CatalysisParams) -> float:
     """Heralding probability p_cd of detecting one photon in each ancilla.
 
-    Evaluated as the squared norm of the closed-form weights, a sum of
-    non-negative terms with no cancellation.  Raises
-    DegeneratePostselectionError where heralding is impossible.  The
+    The squared norm of the closed-form weights, summed over all n by
+    closed_measures: a sum of non-negative terms with no cancellation.
+    Raises DegeneratePostselectionError where p_cd <= NORM_FLOOR.  The
     printed polynomial (published_success_probability) agrees
     mathematically but loses up to ~4e-12 relative accuracy at large r.
     """
-    return closed_spectrum(params)[1]
+    p_cd = closed_measures(params.r, params.T1, params.T2)[0]
+    if not p_cd > NORM_FLOOR:
+        raise DegeneratePostselectionError(
+            f"heralding probability {p_cd} at (r, T1, T2) = ({params.r}, "
+            f"{params.T1}, {params.T2}) is not above {NORM_FLOOR}"
+        )
+    return p_cd
 
 
 def published_success_probability(params: CatalysisParams) -> float:
@@ -259,6 +271,120 @@ def closed_spectrum(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC):
                 f"{params.T2}) needs a truncation above the cap N = {MAX_TRUNCATION}"
             )
     return SchmidtSpectrum(spectrum.weights, N, tail), norm2
+
+
+def _tail_basis(z, degree: int) -> list:
+    """[sum_{m>=0} m^j z^m for j = 0..degree], degree <= 5.
+
+    Each is A_j(z) / (1 - z)^(j+1) with A_j the Eulerian polynomial
+    (1; z; z + z^2; z + 4z^2 + z^3; ...).  The coefficients of A_j are
+    positive, so these do not cancel as z -> 1.
+    """
+    w = 1.0 / (1.0 - z)
+    zw = z * w
+    basis = [w, zw * w, (1.0 + z) * zw * w * w,
+             (1.0 + z * (4.0 + z)) * zw * w * w * w,
+             (1.0 + z * (11.0 + z * (11.0 + z))) * zw * w * w * w * w,
+             (1.0 + z * (26.0 + z * (66.0 + z * (26.0 + z)))) * zw * w * w * w * w * w]
+    return basis[:degree + 1]
+
+
+def _series(f, basis):
+    """sum_{m>=0} f(m) z^m for the polynomial f = (f_0, f_1, ...) in m."""
+    total = f[0] * basis[0]
+    for coeff, b in zip(f[1:], basis[1:]):
+        total = total + coeff * b
+    return total
+
+
+def _square(c) -> tuple:
+    """(c_0 + c_1 m + c_2 m^2)^2 as coefficients, lowest power first."""
+    c0, c1, c2 = c
+    return (c0 * c0, 2.0 * c0 * c1, c1 * c1 + 2.0 * c0 * c2, 2.0 * c1 * c2, c2 * c2)
+
+
+def _shifted_Q(T1, R1, T2, R2, s: int) -> tuple:
+    """Q(m + s) = (T1 - R1 (m+s)) (T2 - R2 (m+s)) as a quadratic in m."""
+    a1, a2 = T1 - s * R1, T2 - s * R2
+    return (a1 * a2, -(a1 * R2 + a2 * R1), R1 * R2)
+
+
+def closed_measures(r: float, T1, T2):
+    """p_cd, EPR variance and teleportation fidelity, with no truncation.
+
+    Derived from the weights w~_n = Q(n) q^n / (t1 t2 cosh r), where
+    Q(n) = (T1 - R1 n)(T2 - R2 n), R = 1 - T, q = t1 t2 tanh r and x = q^2:
+
+    * p_cd = sum_n Q(n)^2 x^n / (T1 T2 cosh^2 r), the squared norm.
+    * EPR = 2 sum_n (n+1) (w_n - w_{n+1})^2, which equals
+      2 (1 + 2 <n> - 2 <ab>) but is a sum of non-negative terms.
+    * F = sum_{m,n} w_m w_n C(m+n, m) / 2^(m+n+1)
+        = (1/2) sum_k D(k) q^k / sum_n Q(n)^2 x^n,
+      with D(k) = 2^-k sum_m C(k, m) Q(m) Q(k-m).  Per beam splitter
+      (T - R m)(T - R (k-m)) = T (T - R k) + R^2 m (k-m), and over
+      m ~ Binomial(k, 1/2), E[m (k-m)] = k(k-1)/4 and
+      E[m^2 (k-m)^2] = k(k-1)(k^2-k+2)/16, so D is a quartic in k.
+
+    Each sum of f(n) z^n, deg f <= 5, is its terms n < 3, taken from
+    values of Q, plus z^3 sum_j e_j A_j(z) / (1-z)^(j+1), where e_j are
+    the monomial coefficients of f(n+3).  Without the exact head the
+    monomial form cancels at small T.  The factor 1/(T1 T2) is cancelled
+    term by term (x^n / (T1 T2) = x^(n-1) tanh^2 r, and the n = 0 terms
+    carry Q(0) = T1 T2), so T1 T2 = 0 needs no special case.
+
+    r is a scalar; T1 and T2 broadcast, and floats give floats.  Where
+    p_cd <= NORM_FLOOR the EPR variance and the fidelity are NaN.
+    """
+    u = math.tanh(r)
+    u2 = u * u
+    R1, R2 = 1.0 - T1, 1.0 - T2
+    T12 = T1 * T2
+    t12 = T12**0.5
+    q = t12 * u
+    x = T12 * u2
+    Q1 = (T1 - R1) * (T2 - R2)
+    Q2 = (T1 - 2.0 * R1) * (T2 - 2.0 * R2)
+    Q3m = _shifted_Q(T1, R1, T2, R2, 3)
+    Q4m = _shifted_Q(T1, R1, T2, R2, 4)
+    x_basis = _tail_basis(x, 5)
+
+    # sum_n Q(n)^2 x^n / (T1 T2).
+    norm = T12 + u2 * (Q1 * Q1 + x * (Q2 * Q2 + x * _series(_square(Q3m), x_basis)))
+
+    # sum_n (n+1) (Q(n) - q Q(n+1))^2 x^n / (T1 T2); the n >= 3 terms
+    # are (m + 4) d(m)^2 with d(m) = Q(m+3) - q Q(m+4).
+    d2 = _square([a - q * b for a, b in zip(Q3m, Q4m)])
+    spread_tail = (4.0 * d2[0], 4.0 * d2[1] + d2[0], 4.0 * d2[2] + d2[1],
+                   4.0 * d2[3] + d2[2], 4.0 * d2[4] + d2[3], d2[4])
+    spread = (t12 - u * Q1) ** 2 + u2 * (
+        2.0 * (Q1 - q * Q2) ** 2 + x * (
+            3.0 * (Q2 - q * Q3m[0]) ** 2 + x * _series(spread_tail, x_basis)))
+
+    # sum_k D(k) q^k / (T1 T2), with D(0) = Q(0)^2, D(1) = Q(0) Q(1) and
+    # D(2) = (Q(0) Q(2) + Q(1)^2) / 2.  For k = m + 3, k(k-1)/4 is
+    # (6 + 5m + m^2)/4 and k(k-1)(k^2-k+2) is (48, 70, 39, 10, 1) in m.
+    a1, a2 = T1 * R2 * R2, T2 * R1 * R1
+    l0 = a1 * (T1 - 3.0 * R1) + a2 * (T2 - 3.0 * R2)
+    l1 = -(a1 * R1 + a2 * R2)
+    corner = (R1 * R2) ** 2 / 16.0
+    D3m = (T12 * Q3m[0] + 1.5 * l0 + 48.0 * corner,
+           T12 * Q3m[1] + 1.25 * l0 + 1.5 * l1 + 70.0 * corner,
+           T12 * Q3m[2] + 0.25 * l0 + 1.25 * l1 + 39.0 * corner,
+           0.25 * l1 + 10.0 * corner,
+           corner)
+    overlap = T12 + q * Q1 + u2 * (
+        0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q, 4)))
+
+    p_cd = norm / math.cosh(r) ** 2
+    if np.ndim(p_cd) == 0:
+        if not p_cd > NORM_FLOOR:
+            return p_cd, math.nan, math.nan
+        return p_cd, 2.0 * spread / norm, overlap / (2.0 * norm)
+    resolvable = p_cd > NORM_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p_cd,
+                np.where(resolvable, 2.0 * spread / norm, np.nan),
+                np.where(resolvable, overlap / (2.0 * norm), np.nan))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 The catalyzed two-mode state is diagonal in the twin-Fock basis |n,n>, so
 every quantity of interest reduces to sums over a single list of real
 (signed) Schmidt weights.  This module holds the parameter point, the
-spectrum container, the truncation policy, the entropy / EPR kernels
-over arrays of weights, and the sign rule of enhancement deltas.
+spectrum container, the truncation policy, the entropy kernel over
+arrays of weights, the entropy and EPR variance of one spectrum, and the
+sign rule of enhancement deltas.
 """
 
 from __future__ import annotations
@@ -150,28 +151,23 @@ def entropy_bits(weights: np.ndarray) -> np.ndarray:
     return -(w2 * np.log2(np.where(w2 > 0.0, w2, 1.0))).sum(axis=-1) + 0.0
 
 
-def epr_variance(weights: np.ndarray) -> np.ndarray:
-    """Total variance of the EPR pair (x_a - x_b, p_a + p_b) over the last
-    axis of normalized weights.
-
-    For a twin-Fock-diagonal state the first moments vanish and
-    <a+a> = <b+b> = sum n w_n^2, <ab> = sum (n+1) w_n w_{n+1}; values
-    below 2 certify entanglement.  Signs of the weights are kept.
-    """
-    n = np.arange(weights.shape[-1])
-    n_mean = weights**2 @ n
-    ab = ((n[:-1] + 1) * weights[..., :-1] * weights[..., 1:]).sum(axis=-1)
-    return 2.0 * (1.0 + 2.0 * n_mean - 2.0 * ab)
-
-
 def entropy_of(spectrum: SchmidtSpectrum) -> float:
     """Entanglement entropy in bits of one spectrum."""
     return float(entropy_bits(spectrum.weights))
 
 
 def epr_of(spectrum: SchmidtSpectrum) -> float:
-    """EPR total variance of one spectrum."""
-    return float(epr_variance(spectrum.weights))
+    """Total variance of the EPR pair (x_a - x_b, p_a + p_b) of one spectrum.
+
+    For a twin-Fock-diagonal state the first moments vanish and
+    <a+a> = <b+b> = sum n w_n^2, <ab> = sum (n+1) w_n w_{n+1}; values
+    below 2 certify entanglement.  Signs of the weights are kept.
+    """
+    w = spectrum.weights
+    n = np.arange(len(w))
+    n_mean = w**2 @ n
+    ab = ((n[:-1] + 1) * w[:-1] * w[1:]).sum()
+    return float(2.0 * (1.0 + 2.0 * n_mean - 2.0 * ab))
 
 
 def delta(quantity: str, value, baseline):

@@ -148,32 +148,23 @@ def _table_for(N: int, q: int) -> np.ndarray:
     return _overlap_table(size, q)
 
 
-def cf_fidelity(weights: np.ndarray,
-                quad_points: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
-    """Teleportation fidelity by quadrature of the CF overlap, over the last
-    axis of normalized weights.
+def cf_fidelity_oracle(spectrum: SchmidtSpectrum,
+                       quad_points: int = DEFAULT_QUAD_POINTS) -> float:
+    """Teleportation fidelity of one spectrum by quadrature of the CF overlap.
 
     F = sum_{m,n} w_m w_n integral_0^inf e^(-s) R_mn(s)^2 ds, evaluated at
     quad_points Gauss-Laguerre nodes and re-evaluated at twice as many as
-    a convergence check over every row.
+    a convergence check.
     """
     if quad_points < 2:
         raise ValueError(f"quad_points must be >= 2, got {quad_points}")
-    N = weights.shape[-1] - 1
-    f1 = (weights @ _table_for(N, quad_points)[: N + 1, : N + 1] * weights).sum(axis=-1)
-    f2 = (weights @ _table_for(N, 2 * quad_points)[: N + 1, : N + 1] * weights).sum(axis=-1)
-    err = abs(f2 - f1)
-    # err > QUADRATURE_RTOL * max(1, |f2|), without a ufunc call per bound:
-    # on a single spectrum that call would cost as much as the quadrature.
-    if np.count_nonzero((err > QUADRATURE_RTOL) & (err > QUADRATURE_RTOL * abs(f2))):
+    w = spectrum.weights
+    N = len(w) - 1
+    f1 = float((w @ _table_for(N, quad_points)[: N + 1, : N + 1] * w).sum())
+    f2 = float((w @ _table_for(N, 2 * quad_points)[: N + 1, : N + 1] * w).sum())
+    if abs(f2 - f1) > QUADRATURE_RTOL * max(1.0, abs(f2)):
         raise QuadratureError(
-            f"fidelity quadrature not converged: max diff {np.max(err)} "
+            f"fidelity quadrature not converged: diff {abs(f2 - f1)} "
             f"at {quad_points}/{2 * quad_points} nodes"
         )
     return f2
-
-
-def cf_fidelity_oracle(spectrum: SchmidtSpectrum,
-                       quad_points: int = DEFAULT_QUAD_POINTS) -> float:
-    """Teleportation fidelity of one spectrum by the CF quadrature."""
-    return float(cf_fidelity(spectrum.weights, quad_points))

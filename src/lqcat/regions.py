@@ -4,11 +4,12 @@ Grid sweeps of the enhancement deltas, threshold bisection in the
 squeezing parameter, enhancing-transmittance intervals, the pairwise
 implication audit over the three measures, and their common region.
 
-All quantities here are evaluated from the closed-form Schmidt weights
-(entropy and EPR variance directly on the spectrum, fidelity by the CF
-quadrature).  The standalone published moment polynomials are not used:
-they disagree with the exact spectrum, and the spectrum is what the
-brute-force circuit simulation certifies.
+p_cd, the EPR variance and the fidelity come from the truncation-free
+closed forms of formulas.closed_measures; the entropy is the one N-term
+sum over the closed-form weights.  The standalone published moment
+polynomials are not used: they disagree with the exact spectrum, and the
+spectrum is what the brute-force circuit simulation certifies.  The
+circuit oracle and the CF quadrature serve only sweep(engine="oracle").
 
 "Enhanced" always means the delta against the un-catalyzed baseline at
 the same squeezing exceeds a small guard band, so round-off at the
@@ -22,9 +23,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .formulas import closed_weights, tmsvs_entropy, tmsvs_epr, tmsvs_fidelity
+from .formulas import (
+    closed_measures,
+    closed_weights,
+    tmsvs_entropy,
+    tmsvs_epr,
+    tmsvs_fidelity,
+)
 from .model import (
     ENHANCEMENT_GUARD,
     NORM_FLOOR,
@@ -34,10 +40,9 @@ from .model import (
     entropy_bits,
     entropy_of,
     epr_of,
-    epr_variance,
     make_params,
 )
-from .oracle import catalyze_oracle, cf_fidelity, cf_fidelity_oracle
+from .oracle import catalyze_oracle, cf_fidelity_oracle
 
 QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
 MEASURES = ("entropy", "epr", "fidelity")
@@ -65,41 +70,50 @@ def _baseline(quantity: str, r: float) -> float:
 
 @dataclass(frozen=True)
 class RowMeasures:
-    """Measures along one r = const row of points, each evaluated on first read.
+    """Measures at the points (r, T1, T2) of one r = const row, T1 and T2
+    broadcast against each other, each evaluated on first read.
 
-    raw holds each point's unnormalized closed-form weights on its last
-    axis.  Where the heralding probability underflows, every measure but
-    pcd is NaN.
+    p_cd, the EPR variance and the fidelity come from closed_measures,
+    with no truncation.  Only the entropy builds weights, at the N that
+    choose_truncation gives for the largest T1 and T2.  q = t1 t2 tanh r
+    grows with T, and a property test (test_regions.py,
+    test_truncation_at_largest_T_covers_the_row) shows that this N keeps
+    the tail bound that closed_spectrum enforces below its target at
+    every smaller T.  Where the heralding probability underflows, every
+    measure but pcd is NaN.
     """
 
     r: float
-    raw: np.ndarray
+    T1: np.ndarray
+    T2: np.ndarray
 
     @cached_property
+    def _closed(self):
+        return closed_measures(self.r, self.T1, self.T2)
+
+    @property
     def pcd(self) -> np.ndarray:
-        return (self.raw**2).sum(axis=-1)
+        return self._closed[0]
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Normalized weights, zero where the heralding probability underflows."""
-        safe = (self.pcd > NORM_FLOOR)[..., None]
-        return np.divide(self.raw, np.sqrt(self.pcd)[..., None],
-                         out=np.zeros_like(self.raw), where=safe)
+    @property
+    def epr(self) -> np.ndarray:
+        return self._closed[1]
 
-    def _measure(self, kernel) -> np.ndarray:
-        return np.where(self.pcd > NORM_FLOOR, kernel(self.weights), np.nan)
+    @property
+    def fidelity(self) -> np.ndarray:
+        return self._closed[2]
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return self._measure(entropy_bits)
-
-    @cached_property
-    def epr(self) -> np.ndarray:
-        return self._measure(epr_variance)
-
-    @cached_property
-    def fidelity(self) -> np.ndarray:
-        return self._measure(cf_fidelity)
+        N = choose_truncation(make_params(
+            self.r, float(np.max(self.T1, initial=0.0)),
+            float(np.max(self.T2, initial=0.0))))
+        raw = closed_weights(self.r, self.T1, self.T2, N)
+        norm2 = (raw**2).sum(axis=-1)
+        resolvable = norm2 > NORM_FLOOR
+        weights = np.divide(raw, np.sqrt(norm2)[..., None],
+                            out=np.zeros_like(raw), where=resolvable[..., None])
+        return np.where(resolvable, entropy_bits(weights), np.nan)
 
     def values(self, quantity: str) -> np.ndarray:
         return getattr(self, quantity)
@@ -111,9 +125,8 @@ class RowMeasures:
 def symmetric_row(r: float, T: np.ndarray) -> RowMeasures:
     """Measures at (r, T, T) for a whole array of T at once.
 
-    The closed-form weights are built for the whole row, and each measure
-    is evaluated over it only when read, so an entropy or EPR search never
-    builds a fidelity overlap table.
+    Each measure is evaluated over the row only when read, so only an
+    entropy search builds weights.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 1:
@@ -121,13 +134,13 @@ def symmetric_row(r: float, T: np.ndarray) -> RowMeasures:
     if len(T) and (T.min() < 0.0 or T.max() > 1.0):
         raise ParameterError("T values must lie in [0, 1]")
     Tmax = float(T.max()) if len(T) else 0.0
-    N = choose_truncation(make_params(r, Tmax, Tmax))
-    return RowMeasures(r=r, raw=closed_weights(r, T, T, N))
+    make_params(r, Tmax, Tmax)  # validates r
+    return RowMeasures(r=r, T1=T, T2=T)
 
 
 def _point_delta(quantity: str, r: float, T: float) -> float:
-    row = symmetric_row(r, np.array([T]))
-    return float(row.deltas(quantity)[0])
+    # A one-point row of Python floats takes closed_measures' scalar path.
+    return float(RowMeasures(r=r, T1=float(T), T2=float(T)).deltas(quantity))
 
 
 @dataclass(frozen=True)
@@ -187,10 +200,11 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
           engine: str = "closed_form") -> RegionGrid:
     """Evaluate one quantity's enhancement delta over a full (r, T1, T2) grid.
 
-    engine selects the evaluation route: "closed_form" builds the
-    spectrum from the closed-form weights, "oracle" re-simulates the
-    heralded circuit per point.  The two agree to round-off; the oracle
-    route exists as a cross-check and is much slower.  Output ordering
+    engine selects the evaluation route: "closed_form" evaluates the
+    closed forms (truncation-free sums, and the weights for the entropy),
+    "oracle" re-simulates the heralded circuit per point and takes the
+    fidelity by the CF quadrature.  The two agree to round-off; the
+    oracle route exists as a cross-check and is much slower.  Output ordering
     is row-major over (r, T1, T2).  Points whose heralding probability
     underflows are reported as NaN.
     """
@@ -211,15 +225,15 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
             raw[i] = [[_oracle_point(quantity, r, T1, T2) for T2 in axis_T2]
                       for T1 in axis_T1]
             continue
-        N = choose_truncation(
-            make_params(r, float(axis_T1.max()), float(axis_T2.max()))
-        )
-        # Blocks of T1 share one evaluation of the T2 factors, and bound
-        # every temporary at SWEEP_BLOCK doubles.
-        step = max(1, SWEEP_BLOCK // (len(axis_T2) * (N + 1)))
+        params = make_params(r, float(axis_T1.max()), float(axis_T2.max()))
+        # Blocks of T1 bound every temporary at SWEEP_BLOCK doubles; only
+        # the entropy builds (N + 1) weights per cell.
+        width = len(axis_T2)
+        if quantity == "entropy":
+            width *= choose_truncation(params) + 1
+        step = max(1, SWEEP_BLOCK // width)
         for j in range(0, len(axis_T1), step):
-            T1 = axis_T1[j:j + step, None]
-            rows = RowMeasures(r=r, raw=closed_weights(r, T1, axis_T2, N))
+            rows = RowMeasures(r=r, T1=axis_T1[j:j + step, None], T2=axis_T2)
             raw[i, j:j + step] = rows.values(quantity)
 
     values = delta(quantity, raw, baselines[:, None, None])
@@ -281,6 +295,9 @@ def _enhancement_exists(quantity: str, r: float) -> bool:
     hi = T[min(best + 1, len(T) - 1)]
     if hi <= lo:
         return False
+    # Imported here: the polish is the only use of scipy.optimize.
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda t: -_point_delta(quantity, r, t),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-7})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .formulas import (
+    closed_measures,
     closed_spectrum,
     tmsvs_entropy,
     tmsvs_epr,
@@ -19,33 +20,41 @@ from .model import (
 from .oracle import DEFAULT_QUAD_POINTS, cf_fidelity_oracle
 
 
-def report(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC,
-           quad_points: int = DEFAULT_QUAD_POINTS) -> MeasureReport:
+def report(params: CatalysisParams,
+           eps: float = DEFAULT_EPS_TRUNC) -> MeasureReport:
     """Evaluate p_cd, entropy, EPR and fidelity with their baselines.
 
-    p_cd (the squared norm) and the spectrum come from the closed-form
-    weights; entropy and the EPR variance are evaluated on that spectrum;
-    the fidelity comes from the CF quadrature.  The standalone moment polynomials in
-    formulas (epr_closed, fidelity_closed) are kept as published
-    cross-checks only, since both are known to disagree with the exact
-    spectrum (see their docstrings); everything reported here is
-    spectrum-based and oracle-verified.
+    p_cd, the EPR variance and the fidelity come from the truncation-free
+    closed forms (formulas.closed_measures).  The entropy is the one
+    N-term sum, over the closed-form spectrum truncated at tail bound eps;
+    that spectrum also raises DegeneratePostselectionError where the
+    heralding probability underflows.  The published moment polynomials in
+    formulas (epr_closed, fidelity_closed) are kept as cross-checks only,
+    since both are known to disagree with the exact spectrum (see their
+    docstrings).
     """
-    spectrum, p_cd = closed_spectrum(params, eps)
-    return spectrum_report(params, spectrum, p_cd, quad_points)
+    spectrum, _ = closed_spectrum(params, eps)
+    p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
+    return _with_baselines(params, p_cd, entropy_of(spectrum), epr, fidelity)
 
 
 def spectrum_report(params: CatalysisParams, spectrum: SchmidtSpectrum,
                     p_cd: float,
                     quad_points: int = DEFAULT_QUAD_POINTS) -> MeasureReport:
-    """All measures of the spectrum of the state at params, from either
-    route, with the baselines at params.r."""
+    """All measures of a spectrum of the state at params, as the oracle
+    route computes them: entropy and EPR variance on the spectrum, the
+    fidelity by the CF quadrature at quad_points nodes."""
+    return _with_baselines(params, p_cd, entropy_of(spectrum), epr_of(spectrum),
+                           cf_fidelity_oracle(spectrum, quad_points))
+
+
+def _with_baselines(params, p_cd, entropy, epr, fidelity) -> MeasureReport:
     return MeasureReport(
         params=params,
         p_cd=p_cd,
-        entropy=entropy_of(spectrum),
-        epr=epr_of(spectrum),
-        fidelity=cf_fidelity_oracle(spectrum, quad_points),
+        entropy=entropy,
+        epr=epr,
+        fidelity=fidelity,
         baseline_entropy=tmsvs_entropy(params.r),
         baseline_epr=tmsvs_epr(params.r),
         baseline_fidelity=tmsvs_fidelity(params.r),

@@ -29,7 +29,7 @@ from the squared weights, the EPR variance from dense quadrature
 operators, the fidelity from the exact overlap kernel
 I_mn = C(m+n, m) / 2^(m+n+1), and every baseline as the same measure of
 the T = 1 state.  None of it shares code with the closed-form weights,
-the measure kernels or the CF quadrature that the results use.
+the measure kernels or the closed-form sums that the results use.
 """
 
 import itertools
@@ -203,8 +203,8 @@ def test_criterion_03_fidelity_threshold(thresholds, criterion):
     r_star, seconds = thresholds["fidelity"]
     printed = _printed_fidelity_threshold()
     ok = abs(r_star - 0.60) <= 0.02
-    criterion(3, ok, f"fidelity threshold r_star = {r_star:.4f} by CF "
-                     f"quadrature (target 0.60 +- 0.02, governs), "
+    criterion(3, ok, f"fidelity threshold r_star = {r_star:.4f} from the "
+                     f"closed form (target 0.60 +- 0.02, governs), "
                      f"{r_star if math.isnan(printed) else printed:.4f} "
                      f"from the published polynomial; {seconds:.1f} s")
     assert ok

@@ -4,13 +4,15 @@ the direct weight sums."""
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import lqcat.formulas
 from lqcat.formulas import (
+    closed_measures,
     closed_spectrum,
     closed_weights,
     epr_closed,
@@ -25,7 +27,14 @@ from lqcat.formulas import (
     tmsvs_fidelity,
     unnormalized_weights,
 )
-from lqcat.model import ParameterError, entropy_of, epr_of, make_params
+from lqcat.model import (
+    NORM_FLOOR,
+    DegeneratePostselectionError,
+    ParameterError,
+    entropy_of,
+    epr_of,
+    make_params,
+)
 
 params_strategy = st.builds(
     make_params,
@@ -71,6 +80,118 @@ class TestSuccessProbability:
         assert success_probability(params) == pytest.approx(
             success_probability(params.swapped()), rel=1e-12, abs=1e-15
         )
+
+    def test_degenerate_point_raises(self):
+        # T1 = 0 with a balanced second splitter kills every weight.
+        with pytest.raises(DegeneratePostselectionError):
+            success_probability(make_params(1.0, 0.0, 0.5))
+
+
+def _reference_measures(r, T1, T2):
+    """p_cd, EPR variance and fidelity at 40 digits from the weights.
+
+    p_cd, <n> and <ab> are the literal sums over the weights
+    tanh(r)^n / cosh(r) g_n(T1) g_n(T2), g_n(T) = ((n+1) T - n) t^(n-1),
+    continued until a weight drops below 1e-48.  The fidelity is
+    sum_{m,n} w_m w_n C(m+n, m) / 2^(m+n+1) grouped by k = m + n, where
+    D(k) = 2^-k sum_m C(k, m) Q(m) Q(k-m) is a polynomial of degree <= 4
+    in k (binomial moments of a quartic in m): it is summed literally for
+    k <= 4, extended by Newton's forward differences, and the extension
+    is checked against the literal sum at larger k.
+    """
+    with mpmath.workdps(40):
+        r, T1, T2 = mpmath.mpf(r), mpmath.mpf(T1), mpmath.mpf(T2)
+        u, ch = mpmath.tanh(r), mpmath.cosh(r)
+        t12 = mpmath.sqrt(T1) * mpmath.sqrt(T2)
+        floor = mpmath.mpf(10) ** -48
+
+        def Q(n):
+            return ((n + 1) * T1 - n) * ((n + 1) * T2 - n)
+
+        w = [t12 / ch]
+        while len(w) < 12 or abs(w[-1]) > floor or abs(w[-2]) > floor:
+            n = len(w)
+            w.append(u**n / ch * Q(n) * t12 ** (n - 1))
+        p_cd = mpmath.fsum(v * v for v in w)
+        if p_cd == 0:
+            return 0.0, math.nan, math.nan
+        n_mean = mpmath.fsum(n * v * v for n, v in enumerate(w)) / p_cd
+        ab = mpmath.fsum((n + 1) * w[n] * w[n + 1] for n in range(len(w) - 1)) / p_cd
+        epr = 2 * (1 + 2 * n_mean - 2 * ab)
+
+        def D_literal(k):
+            return mpmath.fsum(mpmath.binomial(k, m) * Q(m) * Q(k - m)
+                               for m in range(k + 1)) / mpmath.mpf(2) ** k
+
+        diffs, row = [], [D_literal(k) for k in range(5)]
+        while row:
+            diffs.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+
+        def D(k):  # sum_j diffs[j] C(k, j), nested
+            acc = diffs[4]
+            for j in (3, 2, 1, 0):
+                acc = diffs[j] + acc * (k - j) / (j + 1)
+            return acc
+
+        for k in (5, 8, 13):
+            assert abs(D(k) - D_literal(k)) <= mpmath.mpf(10) ** -30 * (1 + abs(D(k)))
+        # sum_k D(k) q^k / (T1 T2), with q^k / (T1 T2) = t12^(k-2) u^k.
+        # D(0) = (T1 T2)^2 and D(1) = T1 T2 Q(1) carry the 1/(T1 T2).
+        overlap = T1 * T2 + Q(1) * t12 * u + mpmath.fsum(
+            D(k) * t12 ** (k - 2) * u**k for k in range(2, len(w) + 40))
+        fidelity = overlap / (2 * p_cd * ch**2)
+        return float(p_cd), float(epr), float(fidelity)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+class TestClosedMeasures:
+    @example(1.0, 1e-12, 0.3)
+    @example(0.5, 1e-16, 0.7)
+    @example(2.0, 0.999, 0.999)  # q -> 1: 1 - q^2 = 0.0725
+    @example(1.0, 0.5, 1e-4)  # Hong-Ou-Mandel zero Q(1) = 0 at T1 = 1/2
+    @example(2.0, 0.5, 0.5)  # truncated sums miss F by 1.3e-11 here
+    @example(1.5, 0.0, 0.3)
+    @example(1.5, 1e-16, 1e-16)
+    @example(1.5, 1e-12, 1e-12)
+    @example(1.5, 0.5, 0.5)
+    @example(2.0, 1.0, 1.0)
+    @example(0.7, 1.0, 0.0)
+    @example(0.0, 0.3, 0.4)
+    @given(st.floats(0.0, 2.0), unit, unit)
+    @settings(max_examples=40, deadline=None)
+    @seed(20261018)
+    def test_against_40_digit_sums(self, r, T1, T2):
+        p_cd, epr, fidelity = closed_measures(r, T1, T2)
+        p_ref, epr_ref, fid_ref = _reference_measures(r, T1, T2)
+        if p_ref <= NORM_FLOOR:
+            assert p_cd <= NORM_FLOOR
+            assert math.isnan(epr) and math.isnan(fidelity)
+            return
+        assert p_cd == pytest.approx(p_ref, rel=1e-13, abs=0.0)
+        assert epr == pytest.approx(epr_ref, rel=0.0, abs=1e-13)
+        assert fidelity == pytest.approx(fid_ref, rel=0.0, abs=1e-13)
+
+    def test_broadcast_matches_scalar(self):
+        T1 = np.array([0.0, 1e-16, 0.3, 0.5, 1.0])[:, None]
+        T2 = np.array([0.0, 0.2, 0.5, 1.0])
+        batch = closed_measures(0.9, T1, T2)
+        for i, a in enumerate(T1[:, 0]):
+            for j, b in enumerate(T2):
+                scalar = closed_measures(0.9, float(a), float(b))
+                for got, want in zip(batch, scalar):
+                    assert got.shape == (5, 4)
+                    assert got[i, j] == pytest.approx(want, rel=1e-14, abs=0.0,
+                                                      nan_ok=True)
+
+    def test_identity_line(self):
+        for r in (0.0, 0.3, 1.0, 2.0):
+            p_cd, epr, fidelity = closed_measures(r, 1.0, 1.0)
+            assert p_cd == pytest.approx(1.0, rel=1e-14)
+            assert epr == pytest.approx(tmsvs_epr(r), rel=1e-13)
+            assert fidelity == pytest.approx(tmsvs_fidelity(r), rel=1e-14)
 
 
 class TestSchmidtWeights:

@@ -89,9 +89,17 @@ class TestCatalyzeOracle:
 
 
 def _cartesian_fidelity(weights, nodes=48):
-    """Independent 2-D Gauss-Hermite CF overlap with dense operators."""
+    """Independent 2-D Gauss-Hermite CF overlap with dense operators.
+
+    D(z) = exp(z a+ - z* a) = R(phi) exp(-i |z| H) R(phi)+, with the
+    Hermitian H = i (a+ - a), z = |z| e^(i phi) and R(phi) = e^(i phi a+a)
+    diagonal, so one eigendecomposition of H gives every displacement on
+    the grid.
+    """
     D = len(weights) + 25
     a = np.diag(np.sqrt(np.arange(1, D)), 1)
+    lam, V = np.linalg.eigh(1j * (a.T - a))
+    n = np.arange(D)
     w = np.zeros(D)
     w[: len(weights)] = weights
     xg, wg = hermgauss(nodes)
@@ -99,8 +107,10 @@ def _cartesian_fidelity(weights, nodes=48):
     for xi, wxi in zip(xg, wg):
         for yi, wyi in zip(xg, wg):
             z = xi + 1j * yi
-            Dz = expm(z * a.T.conj() - np.conj(z) * a)
-            Dzs = expm(np.conj(z) * a.T.conj() - z * a)
+            core = (V * np.exp(-1j * abs(z) * lam)) @ V.conj().T
+            R = np.exp(1j * np.angle(z) * n)
+            Dz = R[:, None] * core * R.conj()[None, :]
+            Dzs = R.conj()[:, None] * core * R[None, :]
             chi = np.einsum("m,n,mn,mn->", w, w, Dzs, Dz)
             total += wxi * wyi * chi.real
     return total / math.pi

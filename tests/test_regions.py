@@ -5,9 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from lqcat import regions
-from lqcat.model import ParameterError, make_params
+from lqcat.formulas import closed_weights
+from lqcat.model import (
+    DEFAULT_EPS_TRUNC,
+    NORM_FLOOR,
+    ParameterError,
+    choose_truncation,
+    make_params,
+    normalize_weights,
+    tail_estimate,
+)
 from lqcat.regions import (
     common_region,
     implication_table,
@@ -41,6 +52,30 @@ class TestSymmetricRow:
             row = symmetric_row(r, np.array([1.0]))
             for q in ("entropy", "epr", "fidelity"):
                 assert abs(row.deltas(q)[0]) < 1e-12
+
+    # The largest tail bound found in 2e6 seeded random points is 4.8e-15,
+    # at N = 30 near the Hong-Ou-Mandel point T = 1/2.
+    @example(1.9744804363110549, 0.5311946681150259, 0.45541764175071353, 1.0, 1.0)
+    @example(2.0, 1.0, 1.0, 1.0, 1.0)
+    @example(2.0, 1.0, 1.0, 0.5, 0.5)
+    @example(2.0, 1.0, 1.0, 1e-16, 0.5)
+    @example(1.0, 0.5, 1.0, 1.0, 0.0)
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    @seed(5)
+    def test_truncation_at_largest_T_covers_the_row(self, r, T1max, T2max, f1, f2):
+        # A row builds its entropy weights at the N that choose_truncation
+        # gives for its largest T1 and T2.  At every smaller T the tail
+        # bound that closed_spectrum enforces must then hold as well.
+        N = choose_truncation(make_params(r, T1max, T2max))
+        T1, T2 = f1 * T1max, f2 * T2max
+        raw = closed_weights(r, T1, T2, N)
+        if np.sum(raw**2) < NORM_FLOOR:
+            return
+        spectrum, _ = normalize_weights(raw)
+        q = math.sqrt(T1) * math.sqrt(T2) * math.tanh(r)
+        assert tail_estimate(spectrum.weights, q) < DEFAULT_EPS_TRUNC
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
