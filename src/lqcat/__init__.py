@@ -1,9 +1,12 @@
 """Numerical laboratory for beam-splitter photon catalysis of two-mode
 squeezed vacuum: heralded Schmidt spectra, entanglement and teleportation
-measures, and parameter-space feasibility analysis."""
+measures, and parameter-space feasibility analysis.
+
+The cross-check routes (the circuit simulation and the CF quadrature)
+live in lqcat.oracle, which this package does not import: it needs scipy.
+"""
 
 from .formulas import (
-    ClosedFidelity,
     StateCoefficients,
     closed_measures,
     closed_spectrum,
@@ -15,7 +18,6 @@ from .formulas import (
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
-    unnormalized_weights,
 )
 from .model import (
     CatalysisParams,
@@ -29,11 +31,6 @@ from .model import (
     epr_of,
     make_params,
     normalize_weights,
-)
-from .oracle import (
-    bs_sector,
-    catalyze_oracle,
-    cf_fidelity_oracle,
 )
 from .regions import (
     ImplicationTable,
@@ -53,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalysisParams",
-    "ClosedFidelity",
     "DegeneratePostselectionError",
     "ImplicationTable",
     "MeasureReport",
@@ -63,9 +59,6 @@ __all__ = [
     "SchmidtSpectrum",
     "StateCoefficients",
     "ThresholdResult",
-    "bs_sector",
-    "catalyze_oracle",
-    "cf_fidelity_oracle",
     "choose_truncation",
     "closed_measures",
     "closed_spectrum",
@@ -89,5 +82,4 @@ __all__ = [
     "tmsvs_entropy",
     "tmsvs_epr",
     "tmsvs_fidelity",
-    "unnormalized_weights",
 ]

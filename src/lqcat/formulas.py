@@ -89,44 +89,6 @@ X_TABLE = {
     9: [(1, 8, 8)],
 }
 
-# <b+b> = M * sum_i Y[i] tanh(r)^i; the table is X with t1 <-> t2.
-Y_TABLE = {
-    0: [(-2, 4, 2), (2, 4, 4)],
-    1: [
-        (1, 0, 0), (-4, 2, 0), (4, 4, 0), (-4, 0, 2), (4, 0, 4),
-        (16, 2, 2), (-16, 2, 4), (-14, 4, 2), (14, 4, 4), (1, 6, 2),
-        (-2, 6, 4), (1, 6, 6),
-    ],
-    2: [
-        (4, 2, 2), (-16, 4, 2), (14, 6, 2), (-12, 2, 4), (48, 4, 4),
-        (-34, 6, 4), (8, 2, 6), (-32, 4, 6), (20, 6, 6),
-    ],
-    3: [
-        (22, 2, 2), (-56, 4, 2), (33, 6, 2), (-60, 2, 4), (146, 4, 4),
-        (-92, 6, 4), (4, 8, 4), (40, 2, 6), (-92, 4, 6), (61, 6, 6),
-        (-8, 8, 6), (2, 4, 8), (-8, 6, 8), (4, 8, 8),
-    ],
-    4: [
-        (24, 4, 4), (-48, 6, 4), (20, 8, 4), (-52, 4, 6), (88, 6, 6),
-        (-34, 8, 6), (28, 4, 8), (-40, 6, 8), (14, 8, 8),
-    ],
-    5: [
-        (40, 4, 4), (-76, 6, 4), (36, 8, 4), (-76, 4, 6), (140, 6, 6),
-        (-58, 8, 6), (1, 10, 6), (30, 4, 8), (-56, 6, 8), (26, 8, 8),
-        (-2, 10, 8), (4, 6, 10), (-4, 8, 10), (1, 10, 10),
-    ],
-    6: [
-        (8, 6, 6), (-8, 8, 6), (-8, 6, 8), (8, 8, 8), (2, 10, 6),
-        (-2, 10, 8),
-    ],
-    7: [
-        (14, 6, 6), (-20, 8, 6), (5, 10, 6), (-16, 6, 8), (16, 8, 8),
-        (-4, 10, 8), (4, 6, 10), (-4, 8, 10), (1, 10, 10),
-    ],
-    8: [],
-    9: [(1, 8, 8)],
-}
-
 # <ab> = <a+b+> = N * sum_i Z[i] tanh(r)^i,
 # N = cosh(lam)^12 tanh(lam) / (p_cd cosh(r)^2).
 Z_TABLE = {
@@ -244,11 +206,6 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
     return math.tanh(r) ** n / math.cosh(r) * g1 * g2
 
 
-def unnormalized_weights(params: CatalysisParams, N: int) -> np.ndarray:
-    """Vector of unnormalized weights w~_0 .. w~_N at one point."""
-    return closed_weights(params.r, params.T1, params.T2, N)
-
-
 def closed_spectrum(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC):
     """Schmidt spectrum from the closed form; returns (spectrum, p_cd).
 
@@ -259,7 +216,7 @@ def closed_spectrum(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC):
     N = choose_truncation(params, eps)
     q = params.t1 * params.t2 * math.tanh(params.r)
     while True:
-        raw = unnormalized_weights(params, N)
+        raw = closed_weights(params.r, params.T1, params.T2, N)
         spectrum, norm2 = normalize_weights(raw)
         tail = tail_estimate(spectrum.weights, q)
         if tail < eps or q == 0.0:
@@ -422,11 +379,8 @@ def mean_photon_a(params: CatalysisParams, p_cd: float | None = None) -> float:
 
 def mean_photon_b(params: CatalysisParams, p_cd: float | None = None) -> float:
     """<b+b> from the published degree-9 polynomial."""
-    if p_cd is None:
-        p_cd = success_probability(params)
-    u = math.tanh(params.r)
-    M = math.cosh(params.lam) ** 12 * u / (p_cd * math.cosh(params.r) ** 2)
-    return M * _poly_in_u(Y_TABLE, params.t1, params.t2, u)
+    # The paper's Y table is its X table with t1 <-> t2.
+    return mean_photon_a(params.swapped(), p_cd)
 
 
 def pair_correlation(params: CatalysisParams, p_cd: float | None = None) -> float:
@@ -461,38 +415,18 @@ def epr_closed(params: CatalysisParams) -> float:
     return 2.0 * (1.0 + na + nb - 2.0 * nab)
 
 
-@dataclass(frozen=True)
-class ClosedFidelity:
-    """Printed-polynomial fidelity plus its cross-check against quadrature.
+def fidelity_closed(params: CatalysisParams) -> float:
+    """Teleportation fidelity from the printed polynomial, as published.
 
-    The published polynomial does not reduce to the baseline
-    (1 + tanh r)/2 at T1 = T2 = 1 (it collapses to e^(-4r) cosh(r)^4 / 2),
-    so `oracle_mismatch` is expected to be True away from r = 0.  The
-    quadrature value is authoritative; the printed form is kept verbatim.
+    Kept verbatim as a cross-check.  The polynomial does not reduce to
+    the baseline (1 + tanh r)/2 at T1 = T2 = 1 (it collapses to
+    e^(-4r) cosh(r)^4 / 2), so it disagrees with the CF quadrature of
+    lqcat.oracle away from r = 0; `lqcat verify` reports the gap.
     """
-
-    value: float
-    oracle_value: float | None
-    oracle_mismatch: bool | None
-
-
-def fidelity_closed(params: CatalysisParams, check: bool = True) -> ClosedFidelity:
-    """Teleportation fidelity from the printed polynomial, as published."""
     p_cd = success_probability(params)
     u = math.tanh(params.r)
     p0 = math.cosh(params.lam) ** 10 / math.cosh(params.r) ** 2
-    value = p0 / (4.0 * p_cd) * _poly_in_u(M_TABLE, params.t1, params.t2, u)
-    if not check:
-        return ClosedFidelity(value=value, oracle_value=None, oracle_mismatch=None)
-    from .oracle import cf_fidelity_oracle
-
-    spectrum, _ = closed_spectrum(params)
-    oracle_value = cf_fidelity_oracle(spectrum)
-    return ClosedFidelity(
-        value=value,
-        oracle_value=oracle_value,
-        oracle_mismatch=abs(value - oracle_value) > 1e-6,
-    )
+    return p0 / (4.0 * p_cd) * _poly_in_u(M_TABLE, params.t1, params.t2, u)
 
 
 def tmsvs_entropy(r: float) -> float:

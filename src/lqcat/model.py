@@ -20,6 +20,8 @@ TRUNCATION_FLOOR = 30
 # doubles (34 MB); every point with r <= 2 needs at most N = 844.
 MAX_TRUNCATION = 2048
 DEFAULT_EPS_TRUNC = 1e-14
+# Gauss-Laguerre nodes of the CF-quadrature fidelity (lqcat.oracle).
+DEFAULT_QUAD_POINTS = 120
 NORMALIZATION_TOL = 1e-12
 NORM_FLOOR = 1e-300
 

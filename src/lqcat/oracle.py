@@ -11,7 +11,8 @@ Two independent routes are provided:
   resources reduces to radial displacement matrix elements.
 
 Neither route shares code with the published closed forms in
-lqcat.formulas, so agreement is a real cross-check.
+lqcat.formulas, so agreement is a real cross-check.  No other lqcat
+module imports this one at module level, so `import lqcat` loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,16 +25,19 @@ from scipy.linalg import expm
 from scipy.special import gammaln, roots_laguerre
 
 from .model import (
-    DEFAULT_EPS_TRUNC,
+    DEFAULT_QUAD_POINTS,
     CatalysisParams,
+    MeasureReport,
     QuadratureError,
     SchmidtSpectrum,
     choose_truncation,
+    entropy_of,
+    epr_of,
     normalize_weights,
     tail_estimate,
 )
+from .report import _with_baselines
 
-DEFAULT_QUAD_POINTS = 120
 QUADRATURE_RTOL = 1e-9
 
 
@@ -78,18 +82,16 @@ def _catalysis_factor(T: float, t: float, n: int) -> float:
     return -float(bs_sector(-math.asin(t), n + 1)[n, 1])
 
 
-def catalyze_oracle(params: CatalysisParams, N: int | None = None,
-                    eps: float = DEFAULT_EPS_TRUNC):
+def catalyze_oracle(params: CatalysisParams):
     """Simulate the heralded circuit; returns (SchmidtSpectrum, p_cd).
 
     Builds the unnormalized projected amplitudes
     w~_n = tanh(r)^n / cosh(r) * <n,1|B1|n,1> * <n,1|B2|n,1>
-    per sector and reads p_cd off the squared norm.  A projection whose
-    amplitudes all vanish raises DegeneratePostselectionError, as the
-    closed-form route does.
+    per sector, up to the N of choose_truncation, and reads p_cd off the
+    squared norm.  A projection whose amplitudes all vanish raises
+    DegeneratePostselectionError, as the closed-form route does.
     """
-    if N is None:
-        N = choose_truncation(params, eps)
+    N = choose_truncation(params)
     u = math.tanh(params.r)
     n = np.arange(N + 1)
     g1 = np.array([_catalysis_factor(params.T1, params.t1, k)
@@ -168,3 +170,13 @@ def cf_fidelity_oracle(spectrum: SchmidtSpectrum,
             f"at {quad_points}/{2 * quad_points} nodes"
         )
     return f2
+
+
+def oracle_report(params: CatalysisParams,
+                  quad_points: int = DEFAULT_QUAD_POINTS) -> MeasureReport:
+    """All measures at params by the oracle route: the circuit simulation's
+    spectrum and p_cd, entropy and EPR variance on that spectrum, and the
+    fidelity by the CF quadrature at quad_points nodes."""
+    spectrum, p_cd = catalyze_oracle(params)
+    return _with_baselines(params, p_cd, entropy_of(spectrum), epr_of(spectrum),
+                           cf_fidelity_oracle(spectrum, quad_points))

@@ -9,7 +9,8 @@ closed forms of formulas.closed_measures; the entropy is the one N-term
 sum over the closed-form weights.  The standalone published moment
 polynomials are not used: they disagree with the exact spectrum, and the
 spectrum is what the brute-force circuit simulation certifies.  The
-circuit oracle and the CF quadrature serve only sweep(engine="oracle").
+circuit oracle and the CF quadrature serve only sweep(engine="oracle"),
+which imports lqcat.oracle when it runs.
 
 "Enhanced" always means the delta against the un-catalyzed baseline at
 the same squeezing exceeds a small guard band, so round-off at the
@@ -38,11 +39,8 @@ from .model import (
     choose_truncation,
     delta,
     entropy_bits,
-    entropy_of,
-    epr_of,
     make_params,
 )
-from .oracle import catalyze_oracle, cf_fidelity_oracle
 
 QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
 MEASURES = ("entropy", "epr", "fidelity")
@@ -188,10 +186,8 @@ class RegionGrid:
         return self.values > ENHANCEMENT_GUARD
 
 
-def _check_cap(*axes) -> None:
-    total = 1
-    for axis in axes:
-        total *= len(axis)
+def _check_cap(*counts: int) -> None:
+    total = math.prod(counts)
     if total > GRID_CAP:
         raise ParameterError(f"grid size {total} exceeds cap {GRID_CAP}")
 
@@ -215,15 +211,18 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     axis_r = np.asarray(r_values, dtype=float)
     axis_T1 = np.asarray(T1_values, dtype=float)
     axis_T2 = np.asarray(T2_values, dtype=float)
-    _check_cap(axis_r, axis_T1, axis_T2)
+    _check_cap(len(axis_r), len(axis_T1), len(axis_T2))
 
     raw = np.empty((len(axis_r), len(axis_T1), len(axis_T2)))
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
 
     for i, r in enumerate(axis_r):
         if engine == "oracle":
-            raw[i] = [[_oracle_point(quantity, r, T1, T2) for T2 in axis_T2]
-                      for T1 in axis_T1]
+            from .oracle import oracle_report
+
+            name = "p_cd" if quantity == "pcd" else quantity
+            raw[i] = [[getattr(oracle_report(make_params(r, T1, T2)), name)
+                       for T2 in axis_T2] for T1 in axis_T1]
             continue
         params = make_params(r, float(axis_T1.max()), float(axis_T2.max()))
         # Blocks of T1 bound every temporary at SWEEP_BLOCK doubles; only
@@ -242,25 +241,13 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
                       baselines=baselines)
 
 
-def _oracle_point(quantity: str, r: float, T1: float, T2: float) -> float:
-    params = make_params(r, T1, T2)
-    spectrum, p_cd = catalyze_oracle(params)
-    if quantity == "pcd":
-        return p_cd
-    if quantity == "entropy":
-        return entropy_of(spectrum)
-    if quantity == "epr":
-        return epr_of(spectrum)
-    return cf_fidelity_oracle(spectrum)
-
-
 def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
     """Sweep along the T1 = T2 diagonal; values have shape (r, T)."""
     if quantity not in QUANTITIES:
         raise ParameterError(f"unknown quantity {quantity!r}")
     axis_r = np.asarray(r_values, dtype=float)
     axis_T = np.asarray(T_values, dtype=float)
-    _check_cap(axis_r, axis_T)
+    _check_cap(len(axis_r), len(axis_T))
     raw = np.empty((len(axis_r), len(axis_T)))
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
     for i, r in enumerate(axis_r):
@@ -350,7 +337,10 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     """Maximal symmetric-T enhancement intervals at fixed r.
 
     Returns a list of (lo, hi) tuples, possibly empty when r lies above
-    the quantity's threshold.  Endpoints are bisected to tol.
+    the quantity's threshold.  Each endpoint is the midpoint of a bracket
+    no wider than tol, so it lies within tol/2 of the edge: the scan step
+    is min(tol, 1e-3), and _bisect_edge halves a bracket at most once,
+    when round-off in the scan makes it wider than tol.
     """
     if quantity not in MEASURES:
         raise ParameterError(f"t_range is defined for {MEASURES}, got {quantity!r}")
@@ -402,14 +392,12 @@ class ImplicationTable:
     resolution: int
     entries: tuple = field(default_factory=tuple)
 
-    def entry(self, antecedent: str, consequent: str) -> ImplicationEntry:
-        for e in self.entries:
-            if e.antecedent == antecedent and e.consequent == consequent:
-                return e
-        raise KeyError((antecedent, consequent))
-
 
 def _audit_axes(resolution: int):
+    """The audits' (r, T) axes, validated before they are built."""
+    if resolution < 100:
+        raise ParameterError(f"resolution must be >= 100, got {resolution}")
+    _check_cap(resolution, resolution)
     r_axis = 0.8 * (np.arange(resolution) + 1.0) / resolution
     T_axis = (np.arange(resolution) + 0.5) / resolution
     return r_axis, T_axis
@@ -425,8 +413,6 @@ def implication_table(resolution: int = 400) -> ImplicationTable:
     whose antecedent delta sits inside the guard band are boundary cells
     and are not counted against an implication.
     """
-    if resolution < 100:
-        raise ParameterError(f"resolution must be >= 100, got {resolution}")
     r_axis, T_axis = _audit_axes(resolution)
     pairs = [(a, b) for a in MEASURES for b in MEASURES if a != b]
     holds = {pair: True for pair in pairs}
@@ -462,8 +448,6 @@ def common_region(resolution: int = 200) -> RegionGrid:
     The grid value at each point is the smallest of the three deltas, so
     positive cells are exactly the common feasibility region.
     """
-    if resolution < 100:
-        raise ParameterError(f"resolution must be >= 100, got {resolution}")
     r_axis, T_axis = _audit_axes(resolution)
     values = np.empty((len(r_axis), len(T_axis)))
     for i, r in enumerate(r_axis):

@@ -13,11 +13,8 @@ from .model import (
     DEFAULT_EPS_TRUNC,
     CatalysisParams,
     MeasureReport,
-    SchmidtSpectrum,
     entropy_of,
-    epr_of,
 )
-from .oracle import DEFAULT_QUAD_POINTS, cf_fidelity_oracle
 
 
 def report(params: CatalysisParams,
@@ -36,16 +33,6 @@ def report(params: CatalysisParams,
     spectrum, _ = closed_spectrum(params, eps)
     p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
     return _with_baselines(params, p_cd, entropy_of(spectrum), epr, fidelity)
-
-
-def spectrum_report(params: CatalysisParams, spectrum: SchmidtSpectrum,
-                    p_cd: float,
-                    quad_points: int = DEFAULT_QUAD_POINTS) -> MeasureReport:
-    """All measures of a spectrum of the state at params, as the oracle
-    route computes them: entropy and EPR variance on the spectrum, the
-    fidelity by the CF quadrature at quad_points nodes."""
-    return _with_baselines(params, p_cd, entropy_of(spectrum), epr_of(spectrum),
-                           cf_fidelity_oracle(spectrum, quad_points))
 
 
 def _with_baselines(params, p_cd, entropy, epr, fidelity) -> MeasureReport:

@@ -182,7 +182,7 @@ def _printed_fidelity_threshold() -> float:
     def exists(r: float) -> bool:
         base = tmsvs_fidelity(r)
         best = max(
-            fidelity_closed(make_params(r, t, t), check=False).value - base
+            fidelity_closed(make_params(r, t, t)) - base
             for t in T
         )
         return best > ENHANCEMENT_GUARD

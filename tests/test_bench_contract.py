@@ -51,3 +51,17 @@ def test_traced_symmetric_row_records_row_length():
     span = t.summary()["regions.symmetric_row"]
     assert span["calls"] == 1
     assert span["value"] == 3.0
+
+
+def test_traced_oracle_sweep_reaches_the_oracle():
+    # sweep imports the oracle route only when engine="oracle" runs; the
+    # tracer must still see the calls made through that lazy import.
+    t = tracer.Tracer()
+    t.install()
+    try:
+        regions.sweep("fidelity", [0.4], [0.3], [0.3], engine="oracle")
+    finally:
+        t.uninstall()
+    spans = t.summary()
+    assert spans["oracle.catalyze_oracle"]["calls"] == 1
+    assert spans["oracle.cf_fidelity_oracle"]["calls"] == 1

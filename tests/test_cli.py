@@ -1,10 +1,17 @@
 """Command-line interface tests: formats, exit codes and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from lqcat.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -61,6 +68,38 @@ class TestMeasure:
         code, _, err = run(capsys, "measure", "--r", "5", "--t", "1")
         assert code == 2
         assert "truncation above the cap N = 2048" in err
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the cross-check routes in lqcat.oracle.
+    code = ("import sys, lqcat, lqcat.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--quantity", "pcd", "--r", "0.5", "--t-grid", "10000001"),
+    ("sweep", "--quantity", "pcd", "--r", "0:1:10000001", "--t", "0.5"),
+    ("sweep", "--quantity", "pcd", "--r", "0.5", "--t1", "0.1:0.9:10000001",
+     "--t2", "0.5"),
+    ("table", "--resolution", "100000"),
+    ("regions", "--resolution", "100000"),
+])
+def test_oversized_grid_exits_before_allocating(capsys, argv):
+    # Each axis above would take 80 MB or more; the audits would run for hours.
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv, "--no-meta")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "cap" in err
+    assert peak < 1 << 20
 
 
 class TestSweep:

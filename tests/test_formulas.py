@@ -25,7 +25,6 @@ from lqcat.formulas import (
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
-    unnormalized_weights,
 )
 from lqcat.model import (
     NORM_FLOOR,
@@ -35,6 +34,7 @@ from lqcat.model import (
     epr_of,
     make_params,
 )
+from lqcat.oracle import cf_fidelity_oracle
 
 params_strategy = st.builds(
     make_params,
@@ -68,7 +68,7 @@ class TestSuccessProbability:
     @settings(max_examples=100, deadline=None)
     def test_equals_squared_norm_of_weights(self, params):
         N = 250
-        raw = unnormalized_weights(params, N)
+        raw = closed_weights(params.r, params.T1, params.T2, N)
         assert success_probability(params) == pytest.approx(
             float(np.sum(raw**2)), rel=1e-12, abs=1e-15
         )
@@ -203,13 +203,13 @@ class TestSchmidtWeights:
         assert batch.shape == (4, 3, 13)
         for i, a in enumerate(T1[:, 0]):
             for j, b in enumerate(T2):
-                scalar = unnormalized_weights(make_params(0.4, a, b), 12)
+                scalar = closed_weights(0.4, a, b, 12)
                 assert np.array_equal(batch[i, j], scalar)
 
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)
         spec, p = closed_spectrum(params)
-        raw = unnormalized_weights(params, spec.truncation)
+        raw = closed_weights(params.r, params.T1, params.T2, spec.truncation)
         assert np.allclose(spec.weights, raw / math.sqrt(p), rtol=1e-14, atol=0.0)
 
     @given(params_strategy)
@@ -221,7 +221,7 @@ class TestSchmidtWeights:
         coeff = state_coefficients(params)
         q = math.tanh(params.lam)
         p = success_probability(params)
-        weights = unnormalized_weights(params, 7) / math.sqrt(p)
+        weights = closed_weights(params.r, params.T1, params.T2, 7) / math.sqrt(p)
         for n in range(8):
             expect = coeff.c0 * q**n
             if n >= 1:
@@ -245,10 +245,10 @@ class TestSchmidtWeights:
 
 class TestMomentPolynomials:
     def test_duality_under_swap(self):
+        # <a+a> and <b+b> swap by construction (mean_photon_b reads the X
+        # table at the swapped point); the printed <ab> table must be
+        # symmetric on its own.
         params = make_params(0.6, 0.3, 0.8)
-        assert mean_photon_a(params) == pytest.approx(
-            mean_photon_b(params.swapped()), rel=1e-12
-        )
         assert pair_correlation(params) == pytest.approx(
             pair_correlation(params.swapped()), rel=1e-12
         )
@@ -285,25 +285,24 @@ class TestMomentPolynomials:
 class TestFidelityPolynomial:
     def test_identity_line_collapse(self):
         # The published polynomial reduces to exp(-4r) cosh(r)^4 / 2 at
-        # T1 = T2 = 1 instead of the baseline (1 + tanh r)/2; both the
-        # collapse and the mismatch flag are locked in here.
+        # T1 = T2 = 1 instead of the baseline (1 + tanh r)/2, which the CF
+        # quadrature does give; both the collapse and the mismatch are
+        # locked in here.
         r = 0.5
-        fc = fidelity_closed(make_params(r, 1.0, 1.0))
-        assert fc.value == pytest.approx(
+        params = make_params(r, 1.0, 1.0)
+        printed = fidelity_closed(params)
+        quadrature = cf_fidelity_oracle(closed_spectrum(params)[0])
+        assert printed == pytest.approx(
             math.exp(-4 * r) * math.cosh(r) ** 4 / 2.0, abs=1e-12
         )
-        assert fc.oracle_value == pytest.approx(tmsvs_fidelity(r), abs=1e-8)
-        assert fc.oracle_mismatch is True
+        assert quadrature == pytest.approx(tmsvs_fidelity(r), abs=1e-8)
+        assert abs(printed - quadrature) > 1e-6
 
     def test_zero_squeezing_agrees(self):
-        fc = fidelity_closed(make_params(0.0, 0.7, 0.4))
-        assert fc.value == pytest.approx(0.5, abs=1e-12)
-        assert fc.oracle_mismatch is False
-
-    def test_check_skip(self):
-        fc = fidelity_closed(make_params(0.3, 0.5, 0.5), check=False)
-        assert fc.oracle_value is None
-        assert fc.oracle_mismatch is None
+        params = make_params(0.0, 0.7, 0.4)
+        printed = fidelity_closed(params)
+        assert printed == pytest.approx(0.5, abs=1e-12)
+        assert abs(printed - cf_fidelity_oracle(closed_spectrum(params)[0])) <= 1e-6
 
 
 class TestBaselines:

@@ -125,9 +125,10 @@ class TestSweep:
         assert np.allclose(sweep(*args).raw, whole.raw, rtol=0.0, atol=1e-15)
 
     def test_engines_agree(self):
-        ref = sweep("entropy", [0.4], [0.2, 0.7], [0.3], engine="closed_form")
-        alt = sweep("entropy", [0.4], [0.2, 0.7], [0.3], engine="oracle")
-        assert np.allclose(ref.values, alt.values, atol=1e-12)
+        for quantity in ("entropy", "epr", "fidelity", "pcd"):
+            ref = sweep(quantity, [0.4], [0.2, 0.7], [0.3], engine="closed_form")
+            alt = sweep(quantity, [0.4], [0.2, 0.7], [0.3], engine="oracle")
+            assert np.allclose(ref.values, alt.values, atol=1e-12), quantity
 
     def test_pcd_identity_cell(self):
         grid = sweep("pcd", [0.5], [1.0], [1.0])
@@ -206,6 +207,11 @@ class TestImplicationTable:
     def test_resolution_validation(self):
         with pytest.raises(ParameterError):
             implication_table(resolution=50)
+        # Above the grid cap (resolution 3162) both audits stop before
+        # evaluating a single row.
+        for audit in (implication_table, regions.common_region):
+            with pytest.raises(ParameterError, match="cap"):
+                audit(resolution=3163)
 
     def test_measured_holds_pattern(self):
         table = implication_table(resolution=100)
