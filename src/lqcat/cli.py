@@ -25,7 +25,6 @@ from .formulas import (
     published_success_probability,
 )
 from .model import (
-    DEFAULT_EPS_TRUNC,
     DEFAULT_QUAD_POINTS,
     DegeneratePostselectionError,
     ParameterError,
@@ -115,7 +114,7 @@ def _json_dump(obj, no_meta: bool) -> str:
 
 def cmd_measure(args) -> int:
     params = make_params(args.r, args.t1, args.t2)
-    closed = report(params, eps=args.eps)
+    closed = report(params)
     oracle = None
     if args.engine in ("oracle", "both"):
         from .oracle import oracle_report
@@ -374,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("closed_form", "oracle", "both"),
                    default="closed_form")
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS_TRUNC,
-                   help="truncation tail target of the spectrum the "
-                        "entropy is summed over")
     p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
                    help="Gauss-Laguerre nodes for the CF-quadrature fidelity "
                         "of the oracle engine (--engine oracle|both); the "

@@ -206,20 +206,20 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
     return math.tanh(r) ** n / math.cosh(r) * g1 * g2
 
 
-def closed_spectrum(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC):
+def closed_spectrum(params: CatalysisParams):
     """Schmidt spectrum from the closed form; returns (spectrum, p_cd).
 
     Truncation is adaptive: the initial N from choose_truncation is
-    doubled until the normalized geometric tail estimate drops below eps,
-    up to MAX_TRUNCATION.
+    doubled until the normalized geometric tail estimate drops below
+    DEFAULT_EPS_TRUNC, up to MAX_TRUNCATION.
     """
-    N = choose_truncation(params, eps)
+    N = choose_truncation(params)
     q = params.t1 * params.t2 * math.tanh(params.r)
     while True:
         raw = closed_weights(params.r, params.T1, params.T2, N)
         spectrum, norm2 = normalize_weights(raw)
         tail = tail_estimate(spectrum.weights, q)
-        if tail < eps or q == 0.0:
+        if tail < DEFAULT_EPS_TRUNC or q == 0.0:
             break
         N = 2 * N
         if N > MAX_TRUNCATION:

@@ -107,22 +107,21 @@ def normalize_weights(unnormalized: np.ndarray):
     return spectrum, norm2
 
 
-def choose_truncation(params: CatalysisParams, eps: float = DEFAULT_EPS_TRUNC) -> int:
-    """Smallest retained photon number N with geometric tail below eps.
+def choose_truncation(params: CatalysisParams) -> int:
+    """Smallest retained photon number N with geometric tail below
+    DEFAULT_EPS_TRUNC.
 
     The squared weights decay like q^(2n) with q = t1*t2*tanh(r), times a
     quadratic-in-n polynomial; the bound below inflates the geometric tail
     by the quartic (n+2)^4 margin.  Floor N = 30; raises ParameterError
     past MAX_TRUNCATION.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
     q = params.t1 * params.t2 * math.tanh(params.r)
     N = TRUNCATION_FLOOR
     if q <= 0.0:
         return N
     q2 = q * q
-    while (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2) >= eps:
+    while (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2) >= DEFAULT_EPS_TRUNC:
         N += 1
         if N > MAX_TRUNCATION:
             raise ParameterError(

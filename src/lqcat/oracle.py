@@ -180,3 +180,13 @@ def oracle_report(params: CatalysisParams,
     spectrum, p_cd = catalyze_oracle(params)
     return _with_baselines(params, p_cd, entropy_of(spectrum), epr_of(spectrum),
                            cf_fidelity_oracle(spectrum, quad_points))
+
+
+def oracle_measure(quantity: str, params: CatalysisParams) -> float:
+    """One quantity at params by the oracle route; only the fidelity runs
+    the CF quadrature."""
+    spectrum, p_cd = catalyze_oracle(params)
+    if quantity == "pcd":
+        return p_cd
+    measure = {"entropy": entropy_of, "epr": epr_of, "fidelity": cf_fidelity_oracle}
+    return measure[quantity](spectrum)

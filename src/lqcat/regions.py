@@ -49,6 +49,7 @@ GRID_CAP = 10**7
 SWEEP_BLOCK = 1 << 16
 R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
+POLISH_POINTS = 129
 DEFAULT_TOL = 1e-3
 
 
@@ -136,11 +137,6 @@ def symmetric_row(r: float, T: np.ndarray) -> RowMeasures:
     return RowMeasures(r=r, T1=T, T2=T)
 
 
-def _point_delta(quantity: str, r: float, T: float) -> float:
-    # A one-point row of Python floats takes closed_measures' scalar path.
-    return float(RowMeasures(r=r, T1=float(T), T2=float(T)).deltas(quantity))
-
-
 @dataclass(frozen=True)
 class RegionGrid:
     """Enhancement deltas of one quantity over a rectangular grid.
@@ -218,27 +214,40 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
 
     for i, r in enumerate(axis_r):
         if engine == "oracle":
-            from .oracle import oracle_report
+            from .oracle import oracle_measure
 
-            name = "p_cd" if quantity == "pcd" else quantity
-            raw[i] = [[getattr(oracle_report(make_params(r, T1, T2)), name)
+            raw[i] = [[oracle_measure(quantity, make_params(r, T1, T2))
                        for T2 in axis_T2] for T1 in axis_T1]
-            continue
-        params = make_params(r, float(axis_T1.max()), float(axis_T2.max()))
-        # Blocks of T1 bound every temporary at SWEEP_BLOCK doubles; only
-        # the entropy builds (N + 1) weights per cell.
-        width = len(axis_T2)
-        if quantity == "entropy":
-            width *= choose_truncation(params) + 1
-        step = max(1, SWEEP_BLOCK // width)
-        for j in range(0, len(axis_T1), step):
-            rows = RowMeasures(r=r, T1=axis_T1[j:j + step, None], T2=axis_T2)
-            raw[i, j:j + step] = rows.values(quantity)
+        else:
+            raw[i] = _blocked_values(quantity, r, axis_T1, axis_T2)
 
     values = delta(quantity, raw, baselines[:, None, None])
     return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T1,
                       axis_T2=axis_T2, values=values, raw=raw,
                       baselines=baselines)
+
+
+def _blocked_values(quantity: str, r: float, T1: np.ndarray,
+                    T2: np.ndarray | None = None) -> np.ndarray:
+    """One quantity at r over the grid T1 x T2, or along T1 = T2 when T2
+    is None.
+
+    Each block of T1 holds at most SWEEP_BLOCK cells, or SWEEP_BLOCK
+    weights for the entropy, which builds N + 1 of them per cell.
+    """
+    T1max = float(np.max(T1, initial=0.0))
+    params = make_params(r, T1max, T1max if T2 is None else float(T2.max()))
+    width = 1 if T2 is None else len(T2)
+    if quantity == "entropy":
+        width *= choose_truncation(params) + 1
+    step = max(1, SWEEP_BLOCK // width)
+    out = np.empty((len(T1),) if T2 is None else (len(T1), len(T2)))
+    for j in range(0, len(T1), step):
+        block = T1[j:j + step]
+        rows = (RowMeasures(r=r, T1=block, T2=block) if T2 is None
+                else RowMeasures(r=r, T1=block[:, None], T2=T2))
+        out[j:j + step] = rows.values(quantity)
+    return out
 
 
 def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
@@ -251,7 +260,7 @@ def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
     raw = np.empty((len(axis_r), len(axis_T)))
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
     for i, r in enumerate(axis_r):
-        raw[i] = symmetric_row(r, axis_T).values(quantity)
+        raw[i] = _blocked_values(quantity, r, axis_T)
     values = delta(quantity, raw, baselines[:, None])
     return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T,
                       axis_T2=None, values=values, raw=raw,
@@ -267,28 +276,36 @@ class ThresholdResult:
     tolerance: float
 
 
+def _check_search(name: str, quantity: str, tol: float) -> None:
+    if quantity not in MEASURES:
+        raise ParameterError(f"{name} is defined for {MEASURES}, got {quantity!r}")
+    # A t_range scan holds 1/tol points, so this floor keeps it under the cap.
+    if not tol >= 1.0 / GRID_CAP:
+        raise ParameterError(
+            f"tol must be >= 1 / grid cap = {1.0 / GRID_CAP:g}, got {tol}")
+
+
+def _refine(quantity: str, r: float, lo, hi):
+    """POLISH_POINTS evenly spaced T from each lo to each hi, and their
+    deltas, from one symmetric_row call; both have shape
+    broadcast(lo, hi) + (POLISH_POINTS,)."""
+    T = np.linspace(lo, hi, POLISH_POINTS, axis=-1)
+    return T, symmetric_row(r, T.ravel()).deltas(quantity).reshape(T.shape)
+
+
 def _enhancement_exists(quantity: str, r: float) -> bool:
     """True if some symmetric T in (0, 1) gives a positive delta at this r.
 
-    Dense scan first (step 1e-3), then a bounded golden-section polish
-    around the best cell in case the maximum slips between grid points.
+    Dense scan first (step 1e-3), then a refine of the two cells around
+    the best scan point in case the maximum slips between grid points.
     """
     T = np.arange(T_SCAN_STEP, 1.0, T_SCAN_STEP)
     deltas = symmetric_row(r, T).deltas(quantity)
     best = int(np.nanargmax(deltas))
     if deltas[best] > ENHANCEMENT_GUARD:
         return True
-    lo = T[max(best - 1, 0)]
-    hi = T[min(best + 1, len(T) - 1)]
-    if hi <= lo:
-        return False
-    # Imported here: the polish is the only use of scipy.optimize.
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda t: -_point_delta(quantity, r, t),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-7})
-    return -float(res.fun) > ENHANCEMENT_GUARD
+    _, fine = _refine(quantity, r, T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)])
+    return bool(np.nanmax(fine) > ENHANCEMENT_GUARD)
 
 
 def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
@@ -296,13 +313,9 @@ def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
 
     Brackets on r in [0.01, 2.0]; raises if no enhancement is found even
     at the lower end, which would signal an implementation regression.
+    tol must be at least 1 / GRID_CAP.
     """
-    if quantity not in MEASURES:
-        raise ParameterError(
-            f"threshold is defined for {MEASURES}, got {quantity!r}"
-        )
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    _check_search("threshold", quantity, tol)
     lo, hi = R_BRACKET
     if not _enhancement_exists(quantity, lo):
         raise RuntimeError(
@@ -321,52 +334,34 @@ def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
                            tolerance=tol)
 
 
-def _bisect_edge(quantity: str, r: float, t_in: float, t_out: float,
-                 tol: float) -> float:
-    """Locate the enhancement boundary between an inside and outside T."""
-    while abs(t_out - t_in) > tol:
-        mid = 0.5 * (t_in + t_out)
-        if _point_delta(quantity, r, mid) > ENHANCEMENT_GUARD:
-            t_in = mid
-        else:
-            t_out = mid
-    return 0.5 * (t_in + t_out)
-
-
 def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     """Maximal symmetric-T enhancement intervals at fixed r.
 
     Returns a list of (lo, hi) tuples, possibly empty when r lies above
-    the quantity's threshold.  Each endpoint is the midpoint of a bracket
-    no wider than tol, so it lies within tol/2 of the edge: the scan step
-    is min(tol, 1e-3), and _bisect_edge halves a bracket at most once,
-    when round-off in the scan makes it wider than tol.
+    the quantity's threshold.  A scan at step min(tol, 1e-3), closed by
+    T = 0 and 1, brackets each edge; _refine splits every bracket into
+    POLISH_POINTS - 1 cells, and the endpoint is the midpoint of the cell
+    the edge falls in, so within step / 256 of an edge that crosses its
+    bracket once.  tol must be at least 1 / GRID_CAP.
     """
-    if quantity not in MEASURES:
-        raise ParameterError(f"t_range is defined for {MEASURES}, got {quantity!r}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    _check_search("t_range", quantity, tol)
     step = min(tol, T_SCAN_STEP)
-    T = np.arange(step, 1.0, step)
-    mask = symmetric_row(r, T).deltas(quantity) > ENHANCEMENT_GUARD
-    intervals = []
-    idx = 0
-    while idx < len(T):
-        if not mask[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx + 1 < len(T) and mask[idx + 1]:
-            idx += 1
-        lo_in, hi_in = T[start], T[idx]
-        lo_out = T[start - 1] if start > 0 else 0.0
-        hi_out = T[idx + 1] if idx + 1 < len(T) else 1.0
-        intervals.append((
-            _bisect_edge(quantity, r, lo_in, lo_out, tol),
-            _bisect_edge(quantity, r, hi_in, hi_out, tol),
-        ))
-        idx += 1
-    return intervals
+    T = np.concatenate(([0.0], np.arange(step, 1.0, step), [1.0]))
+    deltas = delta(quantity, _blocked_values(quantity, r, T[1:-1]),
+                   _baseline(quantity, r))
+    inside = np.concatenate(([False], deltas > ENHANCEMENT_GUARD, [False]))
+    # Bracket k runs from T[edges[k]] to T[edges[k] + 1]; rising and
+    # falling edges alternate.
+    edges = np.flatnonzero(np.diff(inside))
+    T_fine, fine = _refine(quantity, r, T[edges], T[edges + 1])
+    fine_inside = fine > ENHANCEMENT_GUARD
+    # The scan decided the bracket's ends; the refine only places the edge.
+    fine_inside[:, 0] = inside[edges]
+    fine_inside[:, -1] = inside[edges + 1]
+    k = np.argmax(fine_inside != fine_inside[:, :1], axis=1)
+    rows = np.arange(len(edges))
+    ends = (0.5 * (T_fine[rows, k - 1] + T_fine[rows, k])).tolist()
+    return list(zip(ends[::2], ends[1::2]))
 
 
 @dataclass(frozen=True)

@@ -9,28 +9,23 @@ from .formulas import (
     tmsvs_epr,
     tmsvs_fidelity,
 )
-from .model import (
-    DEFAULT_EPS_TRUNC,
-    CatalysisParams,
-    MeasureReport,
-    entropy_of,
-)
+from .model import CatalysisParams, MeasureReport, entropy_of
 
 
-def report(params: CatalysisParams,
-           eps: float = DEFAULT_EPS_TRUNC) -> MeasureReport:
+def report(params: CatalysisParams) -> MeasureReport:
     """Evaluate p_cd, entropy, EPR and fidelity with their baselines.
 
     p_cd, the EPR variance and the fidelity come from the truncation-free
     closed forms (formulas.closed_measures).  The entropy is the one
-    N-term sum, over the closed-form spectrum truncated at tail bound eps;
+    N-term sum, over the closed-form spectrum truncated at tail bound
+    DEFAULT_EPS_TRUNC;
     that spectrum also raises DegeneratePostselectionError where the
     heralding probability underflows.  The published moment polynomials in
     formulas (epr_closed, fidelity_closed) are kept as cross-checks only,
     since both are known to disagree with the exact spectrum (see their
     docstrings).
     """
-    spectrum, _ = closed_spectrum(params, eps)
+    spectrum, _ = closed_spectrum(params)
     p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
     return _with_baselines(params, p_cd, entropy_of(spectrum), epr, fidelity)
 

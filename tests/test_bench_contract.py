@@ -65,3 +65,15 @@ def test_traced_oracle_sweep_reaches_the_oracle():
     spans = t.summary()
     assert spans["oracle.catalyze_oracle"]["calls"] == 1
     assert spans["oracle.cf_fidelity_oracle"]["calls"] == 1
+
+
+def test_traced_oracle_sweep_computes_only_the_asked_measure():
+    t = tracer.Tracer()
+    t.install()
+    try:
+        regions.sweep("pcd", [0.4], [0.3], [0.3], engine="oracle")
+    finally:
+        t.uninstall()
+    spans = t.summary()
+    assert spans["oracle.catalyze_oracle"]["calls"] == 1
+    assert "oracle.cf_fidelity_oracle" not in spans

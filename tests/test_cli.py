@@ -68,11 +68,16 @@ class TestMeasure:
         code, _, err = run(capsys, "measure", "--r", "5", "--t", "1")
         assert code == 2
         assert "truncation above the cap N = 2048" in err
+        code, _, err = run(capsys, "measure", "--r", "1", "--t1", "0", "--t2", "0.5")
+        assert code == 2
+        assert "not normalizable" in err
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the cross-check routes in lqcat.oracle.
+    # scipy serves only the cross-check routes in lqcat.oracle, so neither
+    # the import nor the enhancement searches load it.
     code = ("import sys, lqcat, lqcat.cli; "
+            "lqcat.threshold('epr'); lqcat.t_range('epr', 0.2); "
             "print([m for m in sys.modules if m.startswith('scipy')])")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -88,9 +93,11 @@ def test_import_loads_no_scipy():
      "--t2", "0.5"),
     ("table", "--resolution", "100000"),
     ("regions", "--resolution", "100000"),
+    ("threshold", "--quantity", "epr", "--tol", "1e-17"),
 ])
 def test_oversized_grid_exits_before_allocating(capsys, argv):
-    # Each axis above would take 80 MB or more; the audits would run for hours.
+    # Each axis above would take 80 MB or more; the audits would run for
+    # hours, and the threshold bisection would never end.
     tracemalloc.start()
     try:
         code, _, err = run(capsys, *argv, "--no-meta")

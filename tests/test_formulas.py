@@ -35,6 +35,7 @@ from lqcat.model import (
     make_params,
 )
 from lqcat.oracle import cf_fidelity_oracle
+from lqcat.report import report
 
 params_strategy = st.builds(
     make_params,
@@ -85,6 +86,8 @@ class TestSuccessProbability:
         # T1 = 0 with a balanced second splitter kills every weight.
         with pytest.raises(DegeneratePostselectionError):
             success_probability(make_params(1.0, 0.0, 0.5))
+        with pytest.raises(DegeneratePostselectionError):
+            report(make_params(1.0, 0.0, 0.5))
 
 
 def _reference_measures(r, T1, T2):

@@ -92,10 +92,6 @@ class TestTruncation:
             with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
                 choose_truncation(make_params(r, 1.0, 1.0))
 
-    def test_eps_validation(self):
-        with pytest.raises(ParameterError):
-            choose_truncation(make_params(0.5, 0.5, 0.5), eps=0.0)
-
 
 class TestMeasures:
     def test_entropy_of_pure_fock(self):

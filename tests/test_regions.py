@@ -2,6 +2,7 @@
 implication audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep("entropy", [0.5], [0.5], [0.5], engine="guess")
 
+    def test_symmetric_sweep_is_blocked(self):
+        # One unblocked row would hold (len(T), N + 1) weights: a 123 MB
+        # peak here.
+        r, T = 0.8, np.linspace(0.001, 0.999, 50_000)
+        tracemalloc.start()
+        try:
+            grid = symmetric_sweep("entropy", [r], T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+        # Each block truncates at its own largest T, as sweep's blocks do, so
+        # the values agree with the one-block row to the tail target, not
+        # bit for bit (measured: 7.2e-15).
+        whole = symmetric_row(r, T).entropy
+        assert np.allclose(grid.raw[0], whole, rtol=0.0, atol=DEFAULT_EPS_TRUNC)
+
     def test_symmetric_sweep_matches_diagonal(self):
         diag = symmetric_sweep("fidelity", [0.3], [0.2, 0.6])
         full = sweep("fidelity", [0.3], [0.2, 0.6], [0.2, 0.6])
@@ -179,6 +197,14 @@ class TestThreshold:
         with pytest.raises(ParameterError):
             threshold("entropy", tol=0.0)
 
+    def test_refine_finds_a_maximum_between_scan_points(self):
+        # The step-1e-3 scan's best EPR delta here is -1.83e-5; the true
+        # maximum, +2.85e-6, lies between two scan points.
+        r = 0.5484623718261719
+        T = np.arange(regions.T_SCAN_STEP, 1.0, regions.T_SCAN_STEP)
+        assert np.nanmax(symmetric_row(r, T).deltas("epr")) < -1e-5
+        assert regions._enhancement_exists("epr", r)
+
 
 class TestTRange:
     def test_entropy_interval_at_low_squeezing(self):
@@ -195,6 +221,37 @@ class TestTRange:
 
     def test_empty_above_threshold(self):
         assert t_range("entropy", 0.9) == []
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
+    @pytest.mark.parametrize("r", [0.05, 0.2, 0.4])
+    def test_endpoints_match_a_fine_bisection(self, quantity, r):
+        def enhances(t):
+            return symmetric_row(r, np.array([t])).deltas(quantity)[0] > 1e-12
+
+        intervals = t_range(quantity, r, tol=1e-3)
+        assert intervals
+        for end in (end for interval in intervals for end in interval):
+            a, b = max(end - 1e-3, 0.0), min(end + 1e-3, 1.0)
+            inside_a = enhances(a)
+            assert enhances(b) != inside_a
+            while b - a > 1e-9:
+                mid = 0.5 * (a + b)
+                if enhances(mid) == inside_a:
+                    a = mid
+                else:
+                    b = mid
+            assert abs(end - 0.5 * (a + b)) <= 1e-3 / 256 + 1e-9
+
+    def test_tol_floor_stops_before_the_scan(self):
+        # tol = 1e-8 would scan 10^8 points, more than the grid cap.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="cap"):
+                t_range("entropy", 0.5, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_interval_interior_is_enhancing(self):
         (lo, hi), = t_range("fidelity", 0.3, tol=1e-3)
