@@ -8,6 +8,7 @@ live in lqcat.oracle, which this package does not import: it needs scipy.
 
 from .formulas import (
     StateCoefficients,
+    closed_entropy,
     closed_measures,
     closed_spectrum,
     closed_weights,
@@ -60,6 +61,7 @@ __all__ = [
     "StateCoefficients",
     "ThresholdResult",
     "choose_truncation",
+    "closed_entropy",
     "closed_measures",
     "closed_spectrum",
     "closed_weights",

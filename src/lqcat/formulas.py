@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPS_TRUNC,
+    ENTROPY_CLASSES,
     MAX_TRUNCATION,
     NORM_FLOOR,
     CatalysisParams,
@@ -26,6 +27,9 @@ from .model import (
     ParameterError,
     SchmidtSpectrum,
     choose_truncation,
+    entropy_bits,
+    entropy_truncation,
+    make_params,
     normalize_weights,
     tail_estimate,
 )
@@ -192,17 +196,22 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
     factor g_n(T) = ((n+1) T - n) t^(n-1).  Its n = 0 value simplifies
     algebraically to t, which also covers t = 0.  The result has shape
     broadcast(T1, T2) + (N + 1,); each factor is built on its own shape,
-    so a grid pays for the powers once per axis, not once per cell.
+    so a grid pays for the powers once per axis, not once per cell, and
+    a symmetric row (T2 is T1) builds its one factor once.
     """
     n = np.arange(N + 1)
+    n1 = n + 1
     power = np.maximum(n - 1, 0)
-    T1 = np.asarray(T1, dtype=float)[..., None]
-    T2 = np.asarray(T2, dtype=float)[..., None]
-    t1, t2 = np.sqrt(T1), np.sqrt(T2)
-    g1 = ((n + 1) * T1 - n) * t1**power
-    g2 = ((n + 1) * T2 - n) * t2**power
-    g1[..., 0] = t1[..., 0]
-    g2[..., 0] = t2[..., 0]
+
+    def factor(T):
+        T = np.asarray(T, dtype=float)[..., None]
+        t = np.sqrt(T)
+        g = (n1 * T - n) * t**power
+        g[..., 0] = t[..., 0]
+        return g
+
+    g1 = factor(T1)
+    g2 = g1 if T2 is T1 else factor(T2)
     return math.tanh(r) ** n / math.cosh(r) * g1 * g2
 
 
@@ -228,6 +237,66 @@ def closed_spectrum(params: CatalysisParams):
                 f"{params.T2}) needs a truncation above the cap N = {MAX_TRUNCATION}"
             )
     return SchmidtSpectrum(spectrum.weights, N, tail), norm2
+
+
+def closed_entropy(r: float, T1, T2):
+    """Entanglement entropy in bits, broadcast over T1 and T2.
+
+    The entropy is the one measure summed over a truncated spectrum, and
+    rows, sweeps and report all take it from here.  A cell needs the N
+    that entropy_truncation gives for its own q = t1 t2 tanh r, so cells
+    are truncated by class, not all at the N of the largest q.  Each
+    index along the first axis goes by the largest q over the remaining
+    axes (a grid row of T1 against all of T2 is one unit) into the first
+    of ENTROPY_CLASSES that serves it.  Only classes with 2N at most the
+    largest N are used, and cells beyond them take the largest N.
+    closed_weights runs once per class present, on the class's rows of
+    T1 and T2, so a grid still builds its powers per axis and a row whose
+    cells share one class costs one call.
+
+    r is a scalar; floats give a 0-d array.  Where the weights' squared
+    norm is not above NORM_FLOOR the entropy is NaN.  Raises
+    ParameterError where choose_truncation does at the largest T1 and T2.
+    """
+    T1 = np.asarray(T1, dtype=float)
+    T2 = np.asarray(T2, dtype=float)
+    N_max = entropy_truncation(make_params(
+        r, float(T1.max(initial=0.0)), float(T2.max(initial=0.0))))
+    classes = [(N, limit) for N, limit in ENTROPY_CLASSES if 2 * N <= N_max]
+    shape = np.broadcast_shapes(T1.shape, T2.shape) if classes else ()
+    if not shape or shape[0] < 2:
+        return _entropy(r, T1, T2, N_max)
+
+    def leading(a):
+        return a.ndim == len(shape) and a.shape[0] == shape[0]
+
+    def row_max(a):
+        if leading(a):
+            return a.reshape(shape[0], -1).max(axis=1, initial=0.0)
+        return a.max(initial=0.0)
+
+    q = np.sqrt(row_max(T1)) * np.sqrt(row_max(T2)) * math.tanh(r)
+    label = np.searchsorted([limit for _, limit in classes], q)
+    N_of = [N for N, _ in classes] + [N_max]
+    present = np.unique(label)
+    if len(present) == 1:
+        return _entropy(r, T1, T2, N_of[present[0]])
+    out = np.empty(shape)
+    for k in present:
+        rows = label == k
+        T1k = T1[rows] if leading(T1) else T1
+        T2k = T1k if T2 is T1 else T2[rows] if leading(T2) else T2
+        out[rows] = _entropy(r, T1k, T2k, N_of[k])
+    return out
+
+
+def _entropy(r: float, T1, T2, N: int):
+    """closed_entropy with every cell truncated at N."""
+    p = np.square(closed_weights(r, T1, T2, N))
+    norm2 = p.sum(axis=-1)
+    resolvable = norm2 > NORM_FLOOR
+    p /= np.where(resolvable, norm2, 1.0)[..., None]
+    return np.where(resolvable, entropy_bits(p), np.nan)
 
 
 def _tail_basis(z, degree: int) -> list:
@@ -433,11 +502,12 @@ def tmsvs_entropy(r: float) -> float:
     """Entanglement entropy (bits) of the un-catalyzed squeezed vacuum.
 
     With x = sinh(r)^2 this is (1+x) log2(1+x) - x log2(x), evaluated
-    through log1p so that it keeps its relative accuracy as r -> 0.
+    through log1p so that it keeps its relative accuracy as r -> 0.  Below
+    r ~ 1e-154, x underflows to 0 and so does the entropy.
     """
-    if r == 0.0:
-        return 0.0
     x = math.sinh(r) ** 2
+    if x == 0.0:
+        return 0.0
     return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
 
 

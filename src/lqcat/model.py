@@ -17,13 +17,18 @@ import numpy as np
 
 TRUNCATION_FLOOR = 30
 # Largest retained photon number.  An overlap table for it is 2049^2
-# doubles (34 MB); every point with r <= 2 needs at most N = 844.
+# doubles (34 MB); every point with r <= 2 needs at most N = 844, and
+# N = 911 for the entropy.
 MAX_TRUNCATION = 2048
 DEFAULT_EPS_TRUNC = 1e-14
+# Tail target of the entropy: a dropped squared weight eps moves the
+# entropy by about eps log2(1/eps), some 40 eps.
+ENTROPY_EPS_TRUNC = 1e-16
 # Gauss-Laguerre nodes of the CF-quadrature fidelity (lqcat.oracle).
 DEFAULT_QUAD_POINTS = 120
 NORMALIZATION_TOL = 1e-12
 NORM_FLOOR = 1e-300
+_SMALLEST_SUBNORMAL = 5e-324
 
 # Strict-enhancement guard: deltas smaller than this are treated as round-off.
 ENHANCEMENT_GUARD = 1e-12
@@ -107,6 +112,37 @@ def normalize_weights(unnormalized: np.ndarray):
     return spectrum, norm2
 
 
+def _tail_margin(N: int, q2: float) -> float:
+    """The truncation rule's bound (N+2)^4 q^(2N+2) / (1 - q^2) on the
+    squared weight beyond N."""
+    return (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2)
+
+
+def _truncation(q: float, eps: float) -> int:
+    """Smallest N >= TRUNCATION_FLOOR with _tail_margin(N, q^2) < eps.
+
+    With L = -ln q^2 and C = -ln(eps (1 - q^2)) the rule reads
+    (N+1) L > C + 4 ln(N+2).  The map N -> (C + 4 ln(N+2)) / L - 1 is
+    increasing and has the rule's one real root as its fixed point, so
+    its iterates from C / L - 1 are lower bounds that converge to it, by
+    a factor 4 / (L (N+2)) <= 1/8 per step.  A final exact check steps up
+    to the first N that passes; above the floor the margin falls with N,
+    so that N is the first one a scan from the floor would find.
+    """
+    q2 = q * q
+    if _tail_margin(TRUNCATION_FLOOR, q2) < eps:
+        return TRUNCATION_FLOOR
+    L = -math.log(q2)
+    C = -math.log(eps * (1.0 - q2))
+    bound = C / L - 1.0
+    for _ in range(4):
+        bound = (C + 4.0 * math.log(bound + 2.0)) / L - 1.0
+    N = max(TRUNCATION_FLOOR, int(bound) - 1)
+    while _tail_margin(N, q2) >= eps:
+        N += 1
+    return N
+
+
 def choose_truncation(params: CatalysisParams) -> int:
     """Smallest retained photon number N with geometric tail below
     DEFAULT_EPS_TRUNC.
@@ -117,18 +153,47 @@ def choose_truncation(params: CatalysisParams) -> int:
     past MAX_TRUNCATION.
     """
     q = params.t1 * params.t2 * math.tanh(params.r)
-    N = TRUNCATION_FLOOR
-    if q <= 0.0:
-        return N
-    q2 = q * q
-    while (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2) >= DEFAULT_EPS_TRUNC:
-        N += 1
-        if N > MAX_TRUNCATION:
-            raise ParameterError(
-                f"(r, T1, T2) = ({params.r}, {params.T1}, {params.T2}) needs a "
-                f"truncation above the cap N = {MAX_TRUNCATION}"
-            )
+    N = _truncation(q, DEFAULT_EPS_TRUNC)
+    if N > MAX_TRUNCATION:
+        raise ParameterError(
+            f"(r, T1, T2) = ({params.r}, {params.T1}, {params.T2}) needs a "
+            f"truncation above the cap N = {MAX_TRUNCATION}"
+        )
     return N
+
+
+def entropy_truncation(params: CatalysisParams) -> int:
+    """Retained photon number N for the entropy: the same rule at
+    ENTROPY_EPS_TRUNC.
+
+    -w^2 log w^2 weighs a dropped tail by about log(1/eps), so a norm
+    tail of DEFAULT_EPS_TRUNC leaves the entropy some 1e-13 off; this
+    target keeps it within 1e-14.  Raises ParameterError where
+    choose_truncation does; between that cap and this rule's, N stays at
+    MAX_TRUNCATION.
+    """
+    N = _truncation(params.t1 * params.t2 * math.tanh(params.r), ENTROPY_EPS_TRUNC)
+    if N > MAX_TRUNCATION:
+        choose_truncation(params)
+        return MAX_TRUNCATION
+    return N
+
+
+def _q_limit(N: int, eps: float) -> float:
+    """Largest q at which N passes the truncation rule, by bisection."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _tail_margin(N, mid * mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# Entropy truncation classes: N doubling from the floor, each paired with
+# the largest q it serves.  The limits depend on N only.
+ENTROPY_CLASSES = tuple((N, _q_limit(N, ENTROPY_EPS_TRUNC))
+                        for N in (TRUNCATION_FLOOR << k for k in range(7)))
 
 
 def tail_estimate(weights: np.ndarray, ratio: float) -> float:
@@ -145,16 +210,19 @@ def tail_estimate(weights: np.ndarray, ratio: float) -> float:
     return float(weights[-1] ** 2) * rho / (1.0 - rho)
 
 
-def entropy_bits(weights: np.ndarray) -> np.ndarray:
+def entropy_bits(p: np.ndarray) -> np.ndarray:
     """Von Neumann entanglement entropy in bits over the last axis of
-    normalized weights, with 0*log 0 := 0."""
-    w2 = weights**2
-    return -(w2 * np.log2(np.where(w2 > 0.0, w2, 1.0))).sum(axis=-1) + 0.0
+    Schmidt probabilities p_n = w_n^2, with 0 log 0 := 0."""
+    # Every p > 0 is at least the smallest subnormal, so only p = 0 is
+    # raised, and it still contributes 0 * log2(tiny) = 0.
+    terms = np.log2(np.maximum(p, _SMALLEST_SUBNORMAL))
+    terms *= p
+    return -terms.sum(axis=-1) + 0.0
 
 
 def entropy_of(spectrum: SchmidtSpectrum) -> float:
     """Entanglement entropy in bits of one spectrum."""
-    return float(entropy_bits(spectrum.weights))
+    return float(entropy_bits(spectrum.weights**2))
 
 
 def epr_of(spectrum: SchmidtSpectrum) -> float:

@@ -26,19 +26,17 @@ from functools import cached_property
 import numpy as np
 
 from .formulas import (
+    closed_entropy,
     closed_measures,
-    closed_weights,
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
 )
 from .model import (
     ENHANCEMENT_GUARD,
-    NORM_FLOOR,
     ParameterError,
-    choose_truncation,
     delta,
-    entropy_bits,
+    entropy_truncation,
     make_params,
 )
 
@@ -73,13 +71,13 @@ class RowMeasures:
     broadcast against each other, each evaluated on first read.
 
     p_cd, the EPR variance and the fidelity come from closed_measures,
-    with no truncation.  Only the entropy builds weights, at the N that
-    choose_truncation gives for the largest T1 and T2.  q = t1 t2 tanh r
-    grows with T, and a property test (test_regions.py,
-    test_truncation_at_largest_T_covers_the_row) shows that this N keeps
-    the tail bound that closed_spectrum enforces below its target at
-    every smaller T.  Where the heralding probability underflows, every
-    measure but pcd is NaN.
+    with no truncation.  Only the entropy builds weights, through
+    formulas.closed_entropy: each index along the first axis is truncated
+    at the class its own largest q = t1 t2 tanh r needs, not at the N of
+    the row's largest T, and a property test (test_regions.py,
+    test_entropy_against_40_digit_sums) holds it within 1e-14 of 40-digit
+    sums.  Where the heralding probability underflows, every measure but
+    pcd is NaN.
     """
 
     r: float
@@ -104,15 +102,7 @@ class RowMeasures:
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        N = choose_truncation(make_params(
-            self.r, float(np.max(self.T1, initial=0.0)),
-            float(np.max(self.T2, initial=0.0))))
-        raw = closed_weights(self.r, self.T1, self.T2, N)
-        norm2 = (raw**2).sum(axis=-1)
-        resolvable = norm2 > NORM_FLOOR
-        weights = np.divide(raw, np.sqrt(norm2)[..., None],
-                            out=np.zeros_like(raw), where=resolvable[..., None])
-        return np.where(resolvable, entropy_bits(weights), np.nan)
+        return closed_entropy(self.r, self.T1, self.T2)
 
     def values(self, quantity: str) -> np.ndarray:
         return getattr(self, quantity)
@@ -182,7 +172,10 @@ class RegionGrid:
         return self.values > ENHANCEMENT_GUARD
 
 
-def _check_cap(*counts: int) -> None:
+def _check_grid(*counts: int) -> None:
+    """Reject an empty axis or a grid above GRID_CAP before any work."""
+    if 0 in counts:
+        raise ParameterError("grid axes must not be empty")
     total = math.prod(counts)
     if total > GRID_CAP:
         raise ParameterError(f"grid size {total} exceeds cap {GRID_CAP}")
@@ -207,7 +200,7 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     axis_r = np.asarray(r_values, dtype=float)
     axis_T1 = np.asarray(T1_values, dtype=float)
     axis_T2 = np.asarray(T2_values, dtype=float)
-    _check_cap(len(axis_r), len(axis_T1), len(axis_T2))
+    _check_grid(len(axis_r), len(axis_T1), len(axis_T2))
 
     raw = np.empty((len(axis_r), len(axis_T1), len(axis_T2)))
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
@@ -233,13 +226,14 @@ def _blocked_values(quantity: str, r: float, T1: np.ndarray,
     is None.
 
     Each block of T1 holds at most SWEEP_BLOCK cells, or SWEEP_BLOCK
-    weights for the entropy, which builds N + 1 of them per cell.
+    weights for the entropy, which builds at most N + 1 of them per cell,
+    N = entropy_truncation at the largest T.
     """
     T1max = float(np.max(T1, initial=0.0))
     params = make_params(r, T1max, T1max if T2 is None else float(T2.max()))
     width = 1 if T2 is None else len(T2)
     if quantity == "entropy":
-        width *= choose_truncation(params) + 1
+        width *= entropy_truncation(params) + 1
     step = max(1, SWEEP_BLOCK // width)
     out = np.empty((len(T1),) if T2 is None else (len(T1), len(T2)))
     for j in range(0, len(T1), step):
@@ -256,7 +250,7 @@ def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
         raise ParameterError(f"unknown quantity {quantity!r}")
     axis_r = np.asarray(r_values, dtype=float)
     axis_T = np.asarray(T_values, dtype=float)
-    _check_cap(len(axis_r), len(axis_T))
+    _check_grid(len(axis_r), len(axis_T))
     raw = np.empty((len(axis_r), len(axis_T)))
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
     for i, r in enumerate(axis_r):
@@ -392,7 +386,7 @@ def _audit_axes(resolution: int):
     """The audits' (r, T) axes, validated before they are built."""
     if resolution < 100:
         raise ParameterError(f"resolution must be >= 100, got {resolution}")
-    _check_cap(resolution, resolution)
+    _check_grid(resolution, resolution)
     r_axis = 0.8 * (np.arange(resolution) + 1.0) / resolution
     T_axis = (np.arange(resolution) + 0.5) / resolution
     return r_axis, T_axis

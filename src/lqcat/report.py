@@ -3,31 +3,39 @@
 from __future__ import annotations
 
 from .formulas import (
+    closed_entropy,
     closed_measures,
-    closed_spectrum,
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
 )
-from .model import CatalysisParams, MeasureReport, entropy_of
+from .model import (
+    NORM_FLOOR,
+    CatalysisParams,
+    DegeneratePostselectionError,
+    MeasureReport,
+)
 
 
 def report(params: CatalysisParams) -> MeasureReport:
     """Evaluate p_cd, entropy, EPR and fidelity with their baselines.
 
     p_cd, the EPR variance and the fidelity come from the truncation-free
-    closed forms (formulas.closed_measures).  The entropy is the one
-    N-term sum, over the closed-form spectrum truncated at tail bound
-    DEFAULT_EPS_TRUNC;
-    that spectrum also raises DegeneratePostselectionError where the
-    heralding probability underflows.  The published moment polynomials in
-    formulas (epr_closed, fidelity_closed) are kept as cross-checks only,
-    since both are known to disagree with the exact spectrum (see their
+    closed forms (formulas.closed_measures), and the entropy from
+    formulas.closed_entropy, the kernel that rows and sweeps use.  Raises
+    DegeneratePostselectionError where the heralding probability is not
+    above NORM_FLOOR.  The published moment polynomials in formulas
+    (epr_closed, fidelity_closed) are kept as cross-checks only, since
+    both are known to disagree with the exact spectrum (see their
     docstrings).
     """
-    spectrum, _ = closed_spectrum(params)
     p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
-    return _with_baselines(params, p_cd, entropy_of(spectrum), epr, fidelity)
+    if not p_cd > NORM_FLOOR:
+        raise DegeneratePostselectionError(
+            f"postselection norm {p_cd} below {NORM_FLOOR}; state is not normalizable"
+        )
+    entropy = float(closed_entropy(params.r, params.T1, params.T2))
+    return _with_baselines(params, p_cd, entropy, epr, fidelity)
 
 
 def _with_baselines(params, p_cd, entropy, epr, fidelity) -> MeasureReport:

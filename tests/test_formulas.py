@@ -311,6 +311,8 @@ class TestFidelityPolynomial:
 class TestBaselines:
     def test_entropy_at_zero(self):
         assert tmsvs_entropy(0.0) == 0.0
+        # sinh(r)^2 underflows to 0 here, and so does the entropy (~1e-397).
+        assert tmsvs_entropy(1e-200) == 0.0
 
     @pytest.mark.parametrize("r", [1e-5, 1e-3, 0.1, 2.0])
     def test_entropy_against_decimal_reference(self, r):

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqcat import model
 from lqcat.model import (
+    DEFAULT_EPS_TRUNC,
+    ENTROPY_CLASSES,
+    ENTROPY_EPS_TRUNC,
     MAX_TRUNCATION,
     DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
     choose_truncation,
     entropy_of,
+    entropy_truncation,
     epr_of,
     make_params,
     normalize_weights,
@@ -91,6 +96,60 @@ class TestTruncation:
         for r in (5.0, 8.0):
             with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
                 choose_truncation(make_params(r, 1.0, 1.0))
+
+
+def _scan_truncation(q, eps):
+    """The linear scan from the floor that choose_truncation used to run;
+    None past MAX_TRUNCATION, where it raised."""
+    N = 30
+    q2 = q * q
+    while (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2) >= eps:
+        N += 1
+        if N > MAX_TRUNCATION:
+            return None
+    return N
+
+
+def _capped(N):
+    return None if N > MAX_TRUNCATION else N
+
+
+class TestClosedFormTruncation:
+    def test_matches_the_scan_on_a_seeded_sample(self):
+        rng = np.random.default_rng(2026)
+        qs = np.concatenate([[0.0, 1e-200, 0.5, 0.99], rng.uniform(0.0, 1.0, 600),
+                             1.0 - rng.uniform(0.0, 0.1, 200) ** 2])
+        for eps in (DEFAULT_EPS_TRUNC, ENTROPY_EPS_TRUNC):
+            for q in qs.tolist():
+                assert _capped(model._truncation(q, eps)) == _scan_truncation(q, eps), q
+
+    def test_matches_the_scan_at_every_threshold(self):
+        # q_limit(N) is the largest q that N serves; the next float needs
+        # N + 1.  Both sides of all 2019 thresholds up to the cap.
+        for N in range(30, MAX_TRUNCATION + 1):
+            below = model._q_limit(N, DEFAULT_EPS_TRUNC)
+            above = math.nextafter(below, 1.0)
+            assert _scan_truncation(below, DEFAULT_EPS_TRUNC) == N
+            assert _scan_truncation(above, DEFAULT_EPS_TRUNC) == _capped(N + 1)
+            for q in (below, above):
+                assert (_capped(model._truncation(q, DEFAULT_EPS_TRUNC))
+                        == _scan_truncation(q, DEFAULT_EPS_TRUNC))
+
+    def test_entropy_truncation(self):
+        assert entropy_truncation(make_params(0.5, 0.5, 0.5)) == 30
+        assert entropy_truncation(make_params(2.0, 0.999, 0.999)) == 884
+        assert choose_truncation(make_params(2.0, 0.999, 0.999)) == 819
+        # Between the two rules' caps the entropy keeps N = MAX_TRUNCATION;
+        # past the norm rule's cap both raise.
+        assert choose_truncation(make_params(2.4, 1.0, 1.0)) == 2007
+        assert entropy_truncation(make_params(2.4, 1.0, 1.0)) == MAX_TRUNCATION
+        with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
+            entropy_truncation(make_params(2.5, 1.0, 1.0))
+
+    def test_class_limits_serve_their_class(self):
+        for N, limit in ENTROPY_CLASSES:
+            assert model._truncation(limit, ENTROPY_EPS_TRUNC) <= N
+            assert model._truncation(math.nextafter(limit, 1.0), ENTROPY_EPS_TRUNC) > N
 
 
 class TestMeasures:

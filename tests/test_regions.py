@@ -4,23 +4,22 @@ implication audit."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lqcat import regions
-from lqcat.formulas import closed_weights
 from lqcat.model import (
     DEFAULT_EPS_TRUNC,
     NORM_FLOOR,
+    DegeneratePostselectionError,
     ParameterError,
-    choose_truncation,
     make_params,
-    normalize_weights,
-    tail_estimate,
 )
 from lqcat.regions import (
+    RowMeasures,
     common_region,
     implication_table,
     sweep,
@@ -32,6 +31,32 @@ from lqcat.regions import (
 from lqcat.report import report
 
 
+def _reference_entropy(r, T1, T2):
+    """Entropy in bits at 40 digits: the literal sum over the weights
+    tanh(r)^n / cosh(r) g_n(T1) g_n(T2), g_n(T) = ((n+1) T - n) t^(n-1),
+    continued until a weight drops below 1e-48.  NaN where the squared
+    norm of the weights, the heralding probability, is not above
+    NORM_FLOOR, as in the program."""
+    with mpmath.workdps(40):
+        r, T1, T2 = mpmath.mpf(r), mpmath.mpf(T1), mpmath.mpf(T2)
+        u, ch = mpmath.tanh(r), mpmath.cosh(r)
+        t12 = mpmath.sqrt(T1) * mpmath.sqrt(T2)
+        floor = mpmath.mpf(10) ** -48
+        w = [t12 / ch]
+        while len(w) < 12 or abs(w[-1]) > floor or abs(w[-2]) > floor:
+            n = len(w)
+            w.append(u**n / ch * ((n + 1) * T1 - n) * ((n + 1) * T2 - n)
+                     * t12 ** (n - 1))
+        norm2 = mpmath.fsum(v * v for v in w)
+        if norm2 <= NORM_FLOOR:
+            return math.nan
+        p = [v * v / norm2 for v in w if v != 0]
+        return float(-mpmath.fsum(x * mpmath.log(x, 2) for x in p))
+
+
+special_T = st.one_of(st.sampled_from([0.0, 1e-16, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestSymmetricRow:
     def test_matches_point_reports(self):
         r = 0.3
@@ -40,7 +65,7 @@ class TestSymmetricRow:
         for j, t in enumerate(T):
             rep = report(make_params(r, t, t))
             assert row.pcd[j] == pytest.approx(rep.p_cd, rel=1e-12)
-            assert row.entropy[j] == pytest.approx(rep.entropy, abs=1e-12)
+            assert row.entropy[j] == pytest.approx(rep.entropy, abs=1e-14)
             assert row.epr[j] == pytest.approx(rep.epr, abs=1e-12)
             assert row.fidelity[j] == pytest.approx(rep.fidelity, abs=1e-12)
             assert row.deltas("entropy")[j] == pytest.approx(
@@ -54,29 +79,39 @@ class TestSymmetricRow:
             for q in ("entropy", "epr", "fidelity"):
                 assert abs(row.deltas(q)[0]) < 1e-12
 
-    # The largest tail bound found in 2e6 seeded random points is 4.8e-15,
-    # at N = 30 near the Hong-Ou-Mandel point T = 1/2.
-    @example(1.9744804363110549, 0.5311946681150259, 0.45541764175071353, 1.0, 1.0)
-    @example(2.0, 1.0, 1.0, 1.0, 1.0)
-    @example(2.0, 1.0, 1.0, 0.5, 0.5)
-    @example(2.0, 1.0, 1.0, 1e-16, 0.5)
-    @example(1.0, 0.5, 1.0, 1.0, 0.0)
-    @given(st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @settings(max_examples=200, deadline=None)
-    @seed(5)
-    def test_truncation_at_largest_T_covers_the_row(self, r, T1max, T2max, f1, f2):
-        # A row builds its entropy weights at the N that choose_truncation
-        # gives for its largest T1 and T2.  At every smaller T the tail
-        # bound that closed_spectrum enforces must then hold as well.
-        N = choose_truncation(make_params(r, T1max, T2max))
-        T1, T2 = f1 * T1max, f2 * T2max
-        raw = closed_weights(r, T1, T2, N)
-        if np.sum(raw**2) < NORM_FLOOR:
-            return
-        spectrum, _ = normalize_weights(raw)
-        q = math.sqrt(T1) * math.sqrt(T2) * math.tanh(r)
-        assert tail_estimate(spectrum.weights, q) < DEFAULT_EPS_TRUNC
+    # The parent's per-row truncation put report() 1.7e-13, 2.1e-13 and
+    # 5.0e-14 off the first three; (2, .999, .999) needs the largest N.
+    @example(2.0, 0.5, 0.5, 1.0, 1.0)
+    @example(2.0, 0.49, 0.49, 1.0, 1.0)
+    @example(1.5, 0.5, 0.65, 1.0, 1.0)
+    @example(2.0, 0.999, 0.999, 0.999, 0.999)
+    @example(2.0, 1e-16, 0.5, 1.0, 1.0)
+    @example(1.0, 0.0, 0.3, 1.0, 0.0)
+    # sinh(r)^2 underflows: report's baseline took log(0) and raised.
+    @example(2.422495479402347e-240, 1e-16, 1e-16, 0.0, 0.0)
+    @given(st.floats(0.0, 2.0), special_T, special_T, special_T, special_T)
+    @settings(max_examples=60, deadline=None)
+    @seed(9)
+    def test_entropy_against_40_digit_sums(self, r, T1, T2, U1, U2):
+        # The cell (T1, T2) sits in a grid row, a symmetric row and a
+        # report.  (U1, U2) widen the rows, so that the cell's truncation
+        # class can lie below the row's largest N.
+        grid = RowMeasures(r, np.array([T1, max(T1, U1)])[:, None],
+                           np.array([T2, max(T2, U2)])).entropy[0, 0]
+        diagonal = symmetric_row(r, np.array([T1, max(T1, U1)])).entropy[0]
+        expected = _reference_entropy(r, T1, T2)
+        if math.isnan(expected):
+            assert math.isnan(grid)
+            with pytest.raises(DegeneratePostselectionError):
+                report(make_params(r, T1, T2))
+        else:
+            assert abs(grid - expected) <= 1e-14
+            assert abs(report(make_params(r, T1, T2)).entropy - expected) <= 1e-14
+        expected = _reference_entropy(r, T1, T1) if T2 != T1 else expected
+        if math.isnan(expected):
+            assert math.isnan(diagonal)
+        else:
+            assert abs(diagonal - expected) <= 1e-14
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
@@ -145,6 +180,15 @@ class TestSweep:
             sweep("entropy", np.zeros(3) + 0.5, np.linspace(0.1, 0.9, 3000),
                   np.linspace(0.1, 0.9, 3000))
 
+    @pytest.mark.parametrize("axes", [([0.5], [0.5], []), ([0.5], [], [0.5]),
+                                      ([], [0.5], [0.5])])
+    def test_empty_axis_raises_before_any_work(self, axes, monkeypatch):
+        # An empty T2 axis used to reach T2.max() and raise numpy's bare
+        # ValueError.
+        monkeypatch.setattr(regions, "_blocked_values", None)
+        with pytest.raises(ParameterError, match="empty"):
+            sweep("pcd", *axes)
+
     def test_bad_quantity_and_engine(self):
         with pytest.raises(ParameterError):
             sweep("negativity", [0.5], [0.5], [0.5])
@@ -162,9 +206,9 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 10 << 20
-        # Each block truncates at its own largest T, as sweep's blocks do, so
-        # the values agree with the one-block row to the tail target, not
-        # bit for bit (measured: 7.2e-15).
+        # Each block caps its top truncation class at its own largest T, as
+        # sweep's blocks do, so the values agree with the one-block row to
+        # the tail target, not bit for bit (measured: 6.4e-16).
         whole = symmetric_row(r, T).entropy
         assert np.allclose(grid.raw[0], whole, rtol=0.0, atol=DEFAULT_EPS_TRUNC)
 
