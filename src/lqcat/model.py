@@ -22,7 +22,7 @@ TRUNCATION_FLOOR = 30
 MAX_TRUNCATION = 2048
 DEFAULT_EPS_TRUNC = 1e-14
 # Tail target of the entropy: a dropped squared weight eps moves the
-# entropy by about eps log2(1/eps), some 40 eps.
+# entropy by about eps log2(1/eps), some 50 eps at this target.
 ENTROPY_EPS_TRUNC = 1e-16
 # Gauss-Laguerre nodes of the CF-quadrature fidelity (lqcat.oracle).
 DEFAULT_QUAD_POINTS = 120
