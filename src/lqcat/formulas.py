@@ -26,7 +26,6 @@ from .model import (
     DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
-    choose_truncation,
     entropy_bits,
     entropy_truncation,
     make_params,
@@ -218,11 +217,12 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
 def closed_spectrum(params: CatalysisParams):
     """Schmidt spectrum from the closed form; returns (spectrum, p_cd).
 
-    Truncation is adaptive: the initial N from choose_truncation is
+    Truncation is adaptive: the initial N from entropy_truncation, so
+    that the spectrum's entropy is as accurate as closed_entropy's, is
     doubled until the normalized geometric tail estimate drops below
     DEFAULT_EPS_TRUNC, up to MAX_TRUNCATION.
     """
-    N = choose_truncation(params)
+    N = entropy_truncation(params)
     q = params.t1 * params.t2 * math.tanh(params.r)
     while True:
         raw = closed_weights(params.r, params.T1, params.T2, N)

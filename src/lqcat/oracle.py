@@ -2,9 +2,10 @@
 
 Two independent routes are provided:
 
-* the heralded circuit is simulated exactly per total-photon-number
-  sector (the beam-splitter generator conserves the sector, so the only
-  truncation is in the input squeezed-vacuum sum), and
+* the heralded circuit is simulated per total-photon-number sector: the
+  beam splitter conserves the sector, and its output state for n system
+  photons and the ancilla photon is propagated from the one for n - 1,
+  so the only truncation is in the input squeezed-vacuum sum, and
 
 * the teleportation fidelity is computed by Gauss-Laguerre quadrature of
   the characteristic-function overlap, which for twin-Fock-diagonal
@@ -18,11 +19,11 @@ module imports this one at module level, so `import lqcat` loads no scipy.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln, roots_laguerre
+from scipy.special import eval_laguerre, gammaln
 
 from .model import (
     DEFAULT_QUAD_POINTS,
@@ -30,8 +31,8 @@ from .model import (
     MeasureReport,
     QuadratureError,
     SchmidtSpectrum,
-    choose_truncation,
     entropy_of,
+    entropy_truncation,
     epr_of,
     normalize_weights,
     tail_estimate,
@@ -41,45 +42,73 @@ from .report import _with_baselines
 QUADRATURE_RTOL = 1e-9
 
 
-@lru_cache(maxsize=4096)
-def bs_sector(theta: float, m: int) -> np.ndarray:
-    """Exact exp[theta (a+c - a c+)] in the m-photon sector, read-only.
+def _sector_states(c: float, s: float, size: int):
+    """Yield the sector states psi_n = B|n,1>, n = 0..size-1, of the beam
+    splitter B = exp[theta (a+c - a c+)] with (cos theta, sin theta) = (c, s).
 
-    Rows and columns are the ancilla occupation j of the basis
-    {|m-j, j>} of (system, ancilla), j = 0..m.  The generator is the
-    (m+1)-dimensional antisymmetric matrix with entries sqrt(j (m - j + 1))
-    coupling ancilla occupations j-1 <-> j, so the exponential carries no
-    truncation error.
+    B conserves the photon number, so psi_n lies in the (n+1)-photon
+    sector, held as ancilla occupations j of the basis {|n+1-j, j>} of
+    (system, ancilla).  It is built one photon at a time from
+    psi_0 = B c+|0> = s|1,0> + c|0,1> by psi_n = A psi_(n-1) / sqrt(n)
+    with A = B a+ B+ = c a+ - s c+, so no sector matrix is formed and
+    the only error is the round-off of the steps.
     """
-    if m < 0:
-        raise ValueError(f"sector photon number must be >= 0, got {m}")
-    gen = np.zeros((m + 1, m + 1))
-    for j in range(1, m + 1):
-        # a+ c couples |m-j, j> -> |m-j+1, j-1>
-        amp = math.sqrt(j * (m - j + 1))
-        gen[j - 1, j] = amp
-        gen[j, j - 1] = -amp
-    matrix = expm(theta * gen)
-    matrix.setflags(write=False)
-    return matrix
+    root = np.sqrt(np.arange(size + 1))
+    cr, sr = c * root, s * root
+    psi = np.array([s, c])
+    yield psi
+    for n in range(1, size):
+        # (A psi)[j] = c sqrt(n+1-j) psi[j] - s sqrt(j) psi[j-1]
+        step = np.zeros(n + 2)
+        step[:-1] = cr[n + 1:0:-1] * psi
+        step[1:] -= sr[1:n + 2] * psi
+        psi = step / root[n]
+        yield psi
 
 
-def _catalysis_factor(T: float, t: float, n: int) -> float:
-    """Amplitude <n,1|B|n,1> that mode a keeps n photons while the ancilla
-    photon passes through, from the exact (n+1)-photon sector unitary.
+# Amplitudes for a few dozen transmittances: each entry holds 3 x size
+# doubles, at most 96 KB at size 4096.
+@lru_cache(maxsize=64)
+def bs_sector(c: float, s: float, size: int) -> np.ndarray:
+    """Rows <n,1|psi_n>, <1,n|psi_n> and ||psi_n||^2 / (c^2 + s^2)^(n+1)
+    over n = 0..size-1 of the sector states psi_n = B|n,1> of
+    _sector_states, read-only.
+
+    The last row checks the steps' round-off: psi_n is homogeneous of
+    degree n+1 in (c, s), so its squared norm is (c^2 + s^2)^(n+1), which
+    is 1 only to within the rounding of c and s.  The power is taken from
+    the exact rational c^2 + s^2 - 1, so the ratio is 1 up to the steps'
+    own round-off.
+    """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    out = np.empty((3, size))
+    for n, psi in enumerate(_sector_states(c, s, size)):
+        out[:, n] = psi[1], psi[n], psi @ psi
+    excess = float(Fraction(c) ** 2 + Fraction(s) ** 2 - 1)
+    out[2] /= np.exp(np.arange(1, size + 1) * math.log1p(excess))
+    out.setflags(write=False)
+    return out
+
+
+def _catalysis_factors(T: float, t: float, N: int) -> np.ndarray:
+    """Amplitudes <n,1|B|n,1>, n = 0..N, that mode a keeps n photons while
+    the ancilla photon passes through, from the simulated sector states.
 
     Below T = 1/2 the rotation is split as B(theta) = B(pi/2) B(-phi) with
-    phi = pi/2 - theta = asin(t).  B(pi/2) is the exact signed permutation
-    |m-j, j> -> (-1)^j |j, m-j>, whose row 1 holds -1 in column m-1, and
-    phi is never rounded against pi/2, so amplitudes of order t^(n-1) keep
-    their relative accuracy as t -> 0 instead of drowning in the ~1e-16
-    absolute error of cos(acos(t)).  From T = 1/2 up the direct angle is
-    kept; it gives the Hong-Ou-Mandel zero <1,1|B|1,1> = 0 at T = 1/2
-    exactly.
+    phi = pi/2 - theta.  B(pi/2) is the exact signed permutation
+    |m-j, j> -> (-1)^j |j, m-j>, which takes <n,1| to -<1,n|, and B(-phi)
+    has (cos, sin) = (sqrt(1-T), -t), so amplitudes of order t^(n-1) keep
+    their relative accuracy as t -> 0.  From T = 1/2 up B itself is
+    simulated with (cos, sin) = (t, sqrt(1-T)); at T = 1/2 the two are the
+    same float, so the Hong-Ou-Mandel zero <1,1|B|1,1> = c^2 - s^2 is
+    exact.  The vectors are cached at a power-of-two size of at least 64,
+    so truncations near each other share one.
     """
+    size = max(64, 1 << N.bit_length())
     if T >= 0.5:
-        return float(bs_sector(math.acos(t), n + 1)[1, 1])
-    return -float(bs_sector(-math.asin(t), n + 1)[n, 1])
+        return bs_sector(t, math.sqrt(1.0 - T), size)[0, :N + 1]
+    return -bs_sector(math.sqrt(1.0 - T), -t, size)[1, :N + 1]
 
 
 def catalyze_oracle(params: CatalysisParams):
@@ -87,17 +116,17 @@ def catalyze_oracle(params: CatalysisParams):
 
     Builds the unnormalized projected amplitudes
     w~_n = tanh(r)^n / cosh(r) * <n,1|B1|n,1> * <n,1|B2|n,1>
-    per sector, up to the N of choose_truncation, and reads p_cd off the
-    squared norm.  A projection whose amplitudes all vanish raises
-    DegeneratePostselectionError, as the closed-form route does.
+    per sector, up to the N of entropy_truncation, and reads p_cd off the
+    squared norm.  A point past the truncation cap raises ParameterError
+    before any state is simulated.  A projection whose amplitudes all
+    vanish raises DegeneratePostselectionError, as the closed-form route
+    does.
     """
-    N = choose_truncation(params)
+    N = entropy_truncation(params)
     u = math.tanh(params.r)
     n = np.arange(N + 1)
-    g1 = np.array([_catalysis_factor(params.T1, params.t1, k)
-                   for k in range(N + 1)])
-    g2 = np.array([_catalysis_factor(params.T2, params.t2, k)
-                   for k in range(N + 1)])
+    g1 = _catalysis_factors(params.T1, params.t1, N)
+    g2 = _catalysis_factors(params.T2, params.t2, N)
     raw = u**n / math.cosh(params.r) * g1 * g2
     spectrum, p_cd = normalize_weights(raw)
     q = params.t1 * params.t2 * u
@@ -107,7 +136,28 @@ def catalyze_oracle(params: CatalysisParams):
 
 @lru_cache(maxsize=16)
 def _laguerre_rule(q: int):
-    nodes, weights = roots_laguerre(q)
+    """q-node Gauss-Laguerre nodes and weights, built as scipy's
+    roots_laguerre builds them: the eigenvalues of the Jacobi matrix
+    (diagonal 2k+1, off-diagonal k), one Newton step on L_q, and weights
+    1 / (L_(q-1) L_q') scaled to sum to 1, with L_q' from before the
+    step.  numpy's dense eigvalsh takes the place of scipy.linalg's banded
+    solver, which roots_laguerre imports on its first call; the nodes
+    agree bit for bit at every q from 2 to 240 and the weights to 1.1e-15.
+    """
+    k = np.arange(1.0, q)
+    nodes = np.linalg.eigvalsh(np.diag(2.0 * np.arange(q) + 1.0)
+                               + np.diag(k, 1) + np.diag(k, -1))
+    value = eval_laguerre(q, nodes)
+    slope = q * (value - eval_laguerre(q - 1, nodes)) / nodes
+    nodes -= value / slope
+    # L_(q-1) and L_q' span hundreds of decades at q = 240: centre each on
+    # its log range before the product, as roots_laguerre does.
+    factors = [eval_laguerre(q - 1, nodes), slope]
+    for f in factors:
+        logs = np.log(np.abs(f))
+        f /= np.exp((logs.max() + logs.min()) / 2.0)
+    weights = 1.0 / (factors[0] * factors[1])
+    weights /= weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

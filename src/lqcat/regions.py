@@ -44,7 +44,15 @@ QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
 MEASURES = ("entropy", "epr", "fidelity")
 
 GRID_CAP = 10**7
-SWEEP_BLOCK = 1 << 16
+# Working set of one sweep block, in doubles (4 MiB).  closed_measures
+# holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
+# of p_cd, EPR or fidelity cells takes 10,485 of them, enough for a
+# 100 x 100 map.  The entropy's weights are counted at 8 doubles, above
+# the 0.4-3 closed_entropy holds, which keeps its blocks at 2^16 weights:
+# its class caps are per block, so its values depend on the block size.
+SWEEP_BLOCK = 1 << 19
+CLOSED_CELL_DOUBLES = 50
+ENTROPY_WEIGHT_DOUBLES = 8
 R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
 POLISH_POINTS = 129
@@ -225,15 +233,18 @@ def _blocked_values(quantity: str, r: float, T1: np.ndarray,
     """One quantity at r over the grid T1 x T2, or along T1 = T2 when T2
     is None.
 
-    Each block of T1 holds at most SWEEP_BLOCK cells, or SWEEP_BLOCK
-    weights for the entropy, which builds at most N + 1 of them per cell,
+    Each block of T1 holds at most SWEEP_BLOCK doubles of working set:
+    CLOSED_CELL_DOUBLES per cell, or ENTROPY_WEIGHT_DOUBLES per weight
+    for the entropy, which builds at most N + 1 weights per cell,
     N = entropy_truncation at the largest T.
     """
     T1max = float(np.max(T1, initial=0.0))
     params = make_params(r, T1max, T1max if T2 is None else float(T2.max()))
     width = 1 if T2 is None else len(T2)
     if quantity == "entropy":
-        width *= entropy_truncation(params) + 1
+        width *= ENTROPY_WEIGHT_DOUBLES * (entropy_truncation(params) + 1)
+    else:
+        width *= CLOSED_CELL_DOUBLES
     step = max(1, SWEEP_BLOCK // width)
     out = np.empty((len(T1),) if T2 is None else (len(T1), len(T2)))
     for j in range(0, len(T1), step):

@@ -73,17 +73,31 @@ class TestMeasure:
         assert "not normalizable" in err
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the cross-check routes in lqcat.oracle, so neither
-    # the import nor the enhancement searches load it.
-    code = ("import sys, lqcat, lqcat.cli; "
-            "lqcat.threshold('epr'); lqcat.t_range('epr', 0.2); "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
+def _modules_loaded_by(code, prefix):
+    """Modules under prefix that a fresh interpreter holds after code."""
+    code += f"; import sys; print([m for m in sys.modules if m.startswith({prefix!r})])"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True,
                             env={**os.environ, "PYTHONPATH": path})
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the cross-check routes in lqcat.oracle, so neither
+    # the import nor the enhancement searches load it.
+    code = ("import lqcat, lqcat.cli; "
+            "lqcat.threshold('epr'); lqcat.t_range('epr', 0.2)")
+    assert _modules_loaded_by(code, "scipy") == "[]"
+
+
+def test_oracle_loads_no_scipy_linalg():
+    # The circuit is simulated by sector-state propagation, with no expm,
+    # and the CF quadrature builds its nodes with numpy's eigvalsh.
+    code = ("from lqcat.model import make_params; "
+            "from lqcat.oracle import oracle_report; "
+            "oracle_report(make_params(0.5, 0.3, 0.7))")
+    assert _modules_loaded_by(code, "scipy.linalg") == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,9 @@
 the characteristic-function fidelity quadrature."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,38 +13,101 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
 from lqcat.formulas import closed_spectrum, tmsvs_fidelity
-from lqcat.model import make_params, normalize_weights
-from lqcat.oracle import bs_sector, catalyze_oracle, cf_fidelity_oracle
+from lqcat.model import ParameterError, make_params, normalize_weights
+from lqcat.oracle import (
+    _catalysis_factors,
+    _sector_states,
+    bs_sector,
+    catalyze_oracle,
+    cf_fidelity_oracle,
+)
 
 
-class TestSectorUnitary:
-    @pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
-    def test_unitary(self, m):
-        U = bs_sector(0.7, m)
-        assert np.allclose(U @ U.T, np.eye(m + 1), atol=1e-13)
+def _sector_generator(m):
+    """Antisymmetric generator of exp[theta (a+c - a c+)] in the m-photon
+    sector, over ancilla occupations j of {|m-j, j>}."""
+    gen = np.zeros((m + 1, m + 1))
+    for j in range(1, m + 1):
+        amp = math.sqrt(j * (m - j + 1))
+        gen[j - 1, j] = amp
+        gen[j, j - 1] = -amp
+    return gen
 
-    def test_negative_sector_rejected(self):
-        with pytest.raises(ValueError):
-            bs_sector(0.3, -1)
 
-    def test_matches_dense_two_mode_beam_splitter(self):
+def _expm_factor(T, n):
+    """<n,1|B|n,1> by the per-sector expm of the whole sector matrix, the
+    route the sector-state propagation replaced, with the same B(pi/2)
+    split below T = 1/2."""
+    t = math.sqrt(T)
+    if T >= 0.5:
+        return float(expm(math.acos(t) * _sector_generator(n + 1))[1, 1])
+    return -float(expm(-math.asin(t) * _sector_generator(n + 1))[n, 1])
+
+
+def _mp_factor(T, n):
+    """<n,1|B|n,1> = t^(n-1) (T - n (1 - T)) at 60 digits: a+^n c+ goes to
+    (t a+ - s c+)^n (s a+ + t c+), whose |n,1> coefficient over its norm
+    sqrt(n!) is this."""
+    with mpmath.workdps(60):
+        T = mpmath.mpf(T)
+        return mpmath.sqrt(T) ** (n - 1) * (T - n * (1 - T))
+
+
+class TestSectorStates:
+    @pytest.mark.parametrize("c,s", [
+        (math.cos(0.6), math.sin(0.6)),
+        # The split's B(-phi) at T = 0.3: (cos, sin) = (sqrt(1 - T), -t).
+        (math.sqrt(0.7), -math.sqrt(0.3)),
+    ], ids=["theta-0.6", "split-T-0.3"])
+    def test_matches_dense_two_mode_beam_splitter(self, c, s):
         # Apply the full two-mode unitary exp[theta (a+c - a c+)] on a
-        # truncated Fock lattice and compare sector blocks element-wise.
-        theta = 0.6
+        # truncated Fock lattice and compare each propagated state with
+        # the column of |n,1>, element by element.
         D = 24
         a = np.kron(np.diag(np.sqrt(np.arange(1, D)), 1), np.eye(D))
-        c = np.kron(np.eye(D), np.diag(np.sqrt(np.arange(1, D)), 1))
-        U = expm(theta * (a.T @ c - a @ c.T))
+        anc = np.kron(np.eye(D), np.diag(np.sqrt(np.arange(1, D)), 1))
+        U = expm(math.atan2(s, c) * (a.T @ anc - a @ anc.T))
+        rows = bs_sector(c, s, 7)
+        for n, psi in enumerate(_sector_states(c, s, 7)):
+            dense = [U[(n + 1 - j) * D + j, n * D + 1] for j in range(n + 2)]
+            assert np.max(np.abs(psi - dense)) < 1e-12
+            assert rows[0, n] == psi[1] and rows[1, n] == psi[n]
 
-        def idx(na, nc):
-            return na * D + nc
+    def test_matches_per_sector_expm(self):
+        rng = np.random.default_rng(20240)
+        for T in [0.5, 1.0, 0.0, *rng.uniform(0.0, 1.0, 12)]:
+            got = _catalysis_factors(T, math.sqrt(T), 60)
+            want = [_expm_factor(T, n) for n in range(61)]
+            assert np.max(np.abs(got - want)) < 1e-13, T
 
-        for m in (0, 1, 3, 6):
-            sector = bs_sector(theta, m)
-            for j_out in range(m + 1):
-                for j_in in range(m + 1):
-                    dense = U[idx(m - j_out, j_out), idx(m - j_in, j_in)]
-                    assert sector[j_out, j_in] == pytest.approx(dense, abs=1e-12)
+    @pytest.mark.parametrize("T,n,value", [
+        (1e-12, 5, -5.0e-24),
+        (0.6, 523, -2.61e-56),
+        (1.401298464324817e-45, 3, -4.2e-45),
+        (1.401298464324817e-45, 2, -7.49e-23),
+        (0.3, 7, -0.1242),
+        (0.97, 300, -8.45e-2),
+    ])
+    def test_relative_accuracy_against_mpmath(self, T, n, value):
+        got = _catalysis_factors(T, math.sqrt(T), n)[n]
+        want = _mp_factor(T, n)
+        assert got == pytest.approx(value, rel=5e-3)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_hong_ou_mandel_zero_is_exact(self):
+        assert _catalysis_factors(0.5, math.sqrt(0.5), 1)[1] == 0.0
+
+    def test_unitarity_residual(self):
+        for T in (0.5, 0.6, 0.97):
+            t, s = math.sqrt(T), math.sqrt(1.0 - T)
+            for c_, s_ in ((t, s), (s, -t)):
+                rows = bs_sector(c_, s_, 4096)
+                assert np.max(np.abs(rows[2] - 1.0)) <= 1e-13
+
+    def test_rows_are_read_only_and_size_is_checked(self):
+        assert not bs_sector(0.6, 0.8, 64).flags.writeable
+        with pytest.raises(ValueError):
+            bs_sector(0.6, 0.8, 0)
 
 
 class TestCatalyzeOracle:
@@ -64,8 +129,11 @@ class TestCatalyzeOracle:
     @example(1.0, 0.5, 0.0)
     # Tiny transmittance: amplitudes of order t^(n-1) need relative accuracy.
     @example(0.5, 0.5, 1.401298464324817e-45)
+    # Large truncations at r = 2: N = 566, and N = 911, the domain's largest.
+    @example(2.0, 0.97, 0.99)
+    @example(2.0, 1.0, 1.0)
     @given(
-        st.floats(0.01, 1.5),
+        st.floats(0.01, 2.0),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
     )
@@ -86,6 +154,23 @@ class TestCatalyzeOracle:
         assert p_c == pytest.approx(p_o, abs=1e-12)
         n = min(len(spec_c.weights), len(spec_o.weights))
         assert np.max(np.abs(spec_c.weights[:n] - spec_o.weights[:n])) < 1e-12
+
+    def test_cold_point_at_r_2_is_bounded(self):
+        # N = 566 from a cold cache: no sector matrix is formed or kept.
+        bs_sector.cache_clear()
+        tracemalloc.start()
+        try:
+            catalyze_oracle(make_params(2.0, 0.97, 0.99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
+    def test_past_the_cap_raises_before_simulating(self):
+        misses = bs_sector.cache_info().misses
+        with pytest.raises(ParameterError):
+            catalyze_oracle(make_params(2.45, 1.0, 1.0))
+        assert bs_sector.cache_info().misses == misses
 
 
 def _cartesian_fidelity(weights, nodes=48):

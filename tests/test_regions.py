@@ -212,6 +212,31 @@ class TestSweep:
         whole = symmetric_row(r, T).entropy
         assert np.allclose(grid.raw[0], whole, rtol=0.0, atol=DEFAULT_EPS_TRUNC)
 
+    @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
+    def test_closed_measure_blocks_are_sized_by_working_set(self, quantity,
+                                                           monkeypatch):
+        # closed_measures holds about 50 doubles per cell, so 65,536-cell
+        # blocks would peak at 29.4 MB here (measured: 7.5 MB).
+        T = np.linspace(0.001, 0.999, 200_000)
+        tracemalloc.start()
+        try:
+            grid = symmetric_sweep(quantity, [0.8], T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
+        # The forms are elementwise, so the blocks change no value.
+        part = symmetric_row(0.8, T[::997]).values(quantity)
+        assert np.array_equal(grid.raw[0, ::997], part)
+        # A 100 x 100 map and a 200-T row each stay one block.
+        blocks = []
+        monkeypatch.setattr(regions, "RowMeasures",
+                            lambda **kw: blocks.append(kw) or RowMeasures(**kw))
+        axis = np.linspace(0.0, 1.0, 100)
+        sweep(quantity, [0.8], axis, axis)
+        symmetric_sweep(quantity, [0.8], np.linspace(0.0, 1.0, 200))
+        assert len(blocks) == 2
+
     def test_symmetric_sweep_matches_diagonal(self):
         diag = symmetric_sweep("fidelity", [0.3], [0.2, 0.6])
         full = sweep("fidelity", [0.3], [0.2, 0.6], [0.2, 0.6])
