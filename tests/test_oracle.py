@@ -53,6 +53,19 @@ def _mp_factor(T, n):
         return mpmath.sqrt(T) ** (n - 1) * (T - n * (1 - T))
 
 
+class TestSectorUnitary:
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
+    def test_unitary(self, m):
+        # The propagated B|m,1> is column 1 of the (m+1)-photon sector
+        # matrix: put it in place of that column of the expm matrix, and
+        # the result must still be unitary.
+        theta = 0.7
+        U = expm(theta * _sector_generator(m + 1))
+        *_, psi = _sector_states(math.cos(theta), math.sin(theta), m + 1)
+        U[:, 1] = psi
+        assert np.allclose(U @ U.T, np.eye(m + 2), atol=1e-13)
+
+
 class TestSectorStates:
     @pytest.mark.parametrize("c,s", [
         (math.cos(0.6), math.sin(0.6)),
