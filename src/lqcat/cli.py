@@ -26,6 +26,7 @@ from .formulas import (
 )
 from .model import (
     DEFAULT_QUAD_POINTS,
+    MAX_QUAD_POINTS,
     DegeneratePostselectionError,
     ParameterError,
     QuadratureError,
@@ -375,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
                    help="Gauss-Laguerre nodes for the CF-quadrature fidelity "
-                        "of the oracle engine (--engine oracle|both); the "
-                        "closed-form engine sums the fidelity exactly")
+                        "of the oracle engine (--engine oracle|both), 2 to "
+                        f"{MAX_QUAD_POINTS}; the closed-form engine sums the "
+                        "fidelity exactly")
     _add_common(p)
     p.set_defaults(func=cmd_measure)
 

@@ -18,19 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DEFAULT_EPS_TRUNC,
     ENTROPY_CLASSES,
-    MAX_TRUNCATION,
     NORM_FLOOR,
     CatalysisParams,
     DegeneratePostselectionError,
-    ParameterError,
-    SchmidtSpectrum,
+    choose_truncation,
     entropy_bits,
-    entropy_truncation,
     make_params,
     normalize_weights,
-    tail_estimate,
 )
 
 # Monomial lists: (coefficient, power of t1, power of t2).
@@ -217,26 +212,11 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
 def closed_spectrum(params: CatalysisParams):
     """Schmidt spectrum from the closed form; returns (spectrum, p_cd).
 
-    Truncation is adaptive: the initial N from entropy_truncation, so
-    that the spectrum's entropy is as accurate as closed_entropy's, is
-    doubled until the normalized geometric tail estimate drops below
-    DEFAULT_EPS_TRUNC, up to MAX_TRUNCATION.
+    The weights run to the N of choose_truncation, the same N as
+    closed_entropy's at this point, and p_cd is their squared norm.
     """
-    N = entropy_truncation(params)
-    q = params.t1 * params.t2 * math.tanh(params.r)
-    while True:
-        raw = closed_weights(params.r, params.T1, params.T2, N)
-        spectrum, norm2 = normalize_weights(raw)
-        tail = tail_estimate(spectrum.weights, q)
-        if tail < DEFAULT_EPS_TRUNC or q == 0.0:
-            break
-        N = 2 * N
-        if N > MAX_TRUNCATION:
-            raise ParameterError(
-                f"tail bound {tail} at (r, T1, T2) = ({params.r}, {params.T1}, "
-                f"{params.T2}) needs a truncation above the cap N = {MAX_TRUNCATION}"
-            )
-    return SchmidtSpectrum(spectrum.weights, N, tail), norm2
+    raw = closed_weights(params.r, params.T1, params.T2, choose_truncation(params))
+    return normalize_weights(raw)
 
 
 def closed_entropy(r: float, T1, T2):
@@ -244,7 +224,7 @@ def closed_entropy(r: float, T1, T2):
 
     The entropy is the one measure summed over a truncated spectrum, and
     rows, sweeps and report all take it from here.  A cell needs the N
-    that entropy_truncation gives for its own q = t1 t2 tanh r, so cells
+    that choose_truncation gives for its own q = t1 t2 tanh r, so cells
     are truncated by class, not all at the N of the largest q.  Each
     index along the first axis goes by the largest q over the remaining
     axes (a grid row of T1 against all of T2 is one unit) into the first
@@ -260,7 +240,7 @@ def closed_entropy(r: float, T1, T2):
     """
     T1 = np.asarray(T1, dtype=float)
     T2 = np.asarray(T2, dtype=float)
-    N_max = entropy_truncation(make_params(
+    N_max = choose_truncation(make_params(
         r, float(T1.max(initial=0.0)), float(T2.max(initial=0.0))))
     classes = [(N, limit) for N, limit in ENTROPY_CLASSES if 2 * N <= N_max]
     shape = np.broadcast_shapes(T1.shape, T2.shape) if classes else ()

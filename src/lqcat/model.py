@@ -17,15 +17,16 @@ import numpy as np
 
 TRUNCATION_FLOOR = 30
 # Largest retained photon number.  An overlap table for it is 2049^2
-# doubles (34 MB); every point with r <= 2 needs at most N = 844, and
-# N = 911 for the entropy.
+# doubles (34 MB); every point with r <= 2 needs at most N = 911.
 MAX_TRUNCATION = 2048
-DEFAULT_EPS_TRUNC = 1e-14
-# Tail target of the entropy: a dropped squared weight eps moves the
+# Tail target of the truncation: a dropped squared weight eps moves the
 # entropy by about eps log2(1/eps), some 50 eps at this target.
 ENTROPY_EPS_TRUNC = 1e-16
-# Gauss-Laguerre nodes of the CF-quadrature fidelity (lqcat.oracle).
+# Gauss-Laguerre nodes of the CF-quadrature fidelity (lqcat.oracle).  The
+# convergence check doubles the count, and the rule's weights overflow
+# from 364 nodes on.
 DEFAULT_QUAD_POINTS = 120
+MAX_QUAD_POINTS = 181
 NORMALIZATION_TOL = 1e-12
 NORM_FLOOR = 1e-300
 _SMALLEST_SUBNORMAL = 5e-324
@@ -87,8 +88,6 @@ class SchmidtSpectrum:
     """Normalized signed weights w_n over the twin-Fock basis |n,n>."""
 
     weights: np.ndarray
-    truncation: int
-    tail_bound: float
 
     def __post_init__(self):
         total = float(np.sum(self.weights**2))
@@ -104,12 +103,7 @@ def normalize_weights(unnormalized: np.ndarray):
         raise DegeneratePostselectionError(
             f"postselection norm {norm2} below {NORM_FLOOR}; state is not normalizable"
         )
-    spectrum = SchmidtSpectrum(
-        weights=w / math.sqrt(norm2),
-        truncation=len(w) - 1,
-        tail_bound=0.0,
-    )
-    return spectrum, norm2
+    return SchmidtSpectrum(w / math.sqrt(norm2)), norm2
 
 
 def _tail_margin(N: int, q2: float) -> float:
@@ -143,42 +137,6 @@ def _truncation(q: float, eps: float) -> int:
     return N
 
 
-def choose_truncation(params: CatalysisParams) -> int:
-    """Smallest retained photon number N with geometric tail below
-    DEFAULT_EPS_TRUNC.
-
-    The squared weights decay like q^(2n) with q = t1*t2*tanh(r), times a
-    quadratic-in-n polynomial; the bound below inflates the geometric tail
-    by the quartic (n+2)^4 margin.  Floor N = 30; raises ParameterError
-    past MAX_TRUNCATION.
-    """
-    q = params.t1 * params.t2 * math.tanh(params.r)
-    N = _truncation(q, DEFAULT_EPS_TRUNC)
-    if N > MAX_TRUNCATION:
-        raise ParameterError(
-            f"(r, T1, T2) = ({params.r}, {params.T1}, {params.T2}) needs a "
-            f"truncation above the cap N = {MAX_TRUNCATION}"
-        )
-    return N
-
-
-def entropy_truncation(params: CatalysisParams) -> int:
-    """Retained photon number N for the entropy: the same rule at
-    ENTROPY_EPS_TRUNC.
-
-    -w^2 log w^2 weighs a dropped tail by about log(1/eps), so a norm
-    tail of DEFAULT_EPS_TRUNC leaves the entropy some 1e-13 off; this
-    target keeps it within 1e-14.  Raises ParameterError where
-    choose_truncation does; between that cap and this rule's, N stays at
-    MAX_TRUNCATION.
-    """
-    N = _truncation(params.t1 * params.t2 * math.tanh(params.r), ENTROPY_EPS_TRUNC)
-    if N > MAX_TRUNCATION:
-        choose_truncation(params)
-        return MAX_TRUNCATION
-    return N
-
-
 def _q_limit(N: int, eps: float) -> float:
     """Largest q at which N passes the truncation rule, by bisection."""
     lo, hi = 0.0, 1.0
@@ -196,18 +154,28 @@ ENTROPY_CLASSES = tuple((N, _q_limit(N, ENTROPY_EPS_TRUNC))
                         for N in (TRUNCATION_FLOOR << k for k in range(7)))
 
 
-def tail_estimate(weights: np.ndarray, ratio: float) -> float:
-    """Geometric continuation bound on the discarded squared weight.
+# Largest q in the domain: where the rule at a squared-norm tail of 1e-14
+# would pass MAX_TRUNCATION (r = 2.4095 at T1 = T2 = 1).  Between the 1e-16
+# rule's limit at the cap and this one, N stays at MAX_TRUNCATION.
+Q_CAP = _q_limit(MAX_TRUNCATION, 1e-14)
 
-    `weights` are the normalized retained weights, `ratio` the asymptotic
-    weight ratio q = t1*t2*tanh(r); a quartic-in-n margin covers the
-    polynomial prefactor.
+
+def choose_truncation(params: CatalysisParams) -> int:
+    """Retained photon number N of every truncated sum: the smallest
+    N >= TRUNCATION_FLOOR whose tail bound _tail_margin is below
+    ENTROPY_EPS_TRUNC, at most MAX_TRUNCATION.
+
+    The squared weights decay like q^(2n) with q = t1*t2*tanh(r), times a
+    quadratic-in-n polynomial; the bound inflates the geometric tail by
+    the quartic (n+2)^4 margin.  Raises ParameterError for q above Q_CAP.
     """
-    N = len(weights) - 1
-    rho = ratio * ratio * ((N + 2) / (N + 1)) ** 4
-    if rho >= 1.0:
-        return math.inf
-    return float(weights[-1] ** 2) * rho / (1.0 - rho)
+    q = params.t1 * params.t2 * math.tanh(params.r)
+    if q > Q_CAP:
+        raise ParameterError(
+            f"(r, T1, T2) = ({params.r}, {params.T1}, {params.T2}) needs a "
+            f"truncation above the cap N = {MAX_TRUNCATION}"
+        )
+    return min(_truncation(q, ENTROPY_EPS_TRUNC), MAX_TRUNCATION)
 
 
 def entropy_bits(p: np.ndarray) -> np.ndarray:

@@ -27,15 +27,15 @@ from scipy.special import eval_laguerre, gammaln
 
 from .model import (
     DEFAULT_QUAD_POINTS,
+    MAX_QUAD_POINTS,
     CatalysisParams,
     MeasureReport,
     QuadratureError,
     SchmidtSpectrum,
+    choose_truncation,
     entropy_of,
-    entropy_truncation,
     epr_of,
     normalize_weights,
-    tail_estimate,
 )
 from .report import _with_baselines
 
@@ -116,22 +116,18 @@ def catalyze_oracle(params: CatalysisParams):
 
     Builds the unnormalized projected amplitudes
     w~_n = tanh(r)^n / cosh(r) * <n,1|B1|n,1> * <n,1|B2|n,1>
-    per sector, up to the N of entropy_truncation, and reads p_cd off the
+    per sector, up to the N of choose_truncation, and reads p_cd off the
     squared norm.  A point past the truncation cap raises ParameterError
     before any state is simulated.  A projection whose amplitudes all
     vanish raises DegeneratePostselectionError, as the closed-form route
     does.
     """
-    N = entropy_truncation(params)
+    N = choose_truncation(params)
     u = math.tanh(params.r)
     n = np.arange(N + 1)
     g1 = _catalysis_factors(params.T1, params.t1, N)
     g2 = _catalysis_factors(params.T2, params.t2, N)
-    raw = u**n / math.cosh(params.r) * g1 * g2
-    spectrum, p_cd = normalize_weights(raw)
-    q = params.t1 * params.t2 * u
-    tail = tail_estimate(spectrum.weights, q)
-    return SchmidtSpectrum(spectrum.weights, N, tail), p_cd
+    return normalize_weights(u**n / math.cosh(params.r) * g1 * g2)
 
 
 @lru_cache(maxsize=16)
@@ -206,15 +202,18 @@ def cf_fidelity_oracle(spectrum: SchmidtSpectrum,
 
     F = sum_{m,n} w_m w_n integral_0^inf e^(-s) R_mn(s)^2 ds, evaluated at
     quad_points Gauss-Laguerre nodes and re-evaluated at twice as many as
-    a convergence check.
+    a convergence check, which a NaN fails.  quad_points runs from 2 to
+    MAX_QUAD_POINTS, where the doubled rule's weights are still finite.
     """
     if quad_points < 2:
         raise ValueError(f"quad_points must be >= 2, got {quad_points}")
+    if quad_points > MAX_QUAD_POINTS:
+        raise ValueError(f"quad_points must be <= {MAX_QUAD_POINTS}, got {quad_points}")
     w = spectrum.weights
     N = len(w) - 1
     f1 = float((w @ _table_for(N, quad_points)[: N + 1, : N + 1] * w).sum())
     f2 = float((w @ _table_for(N, 2 * quad_points)[: N + 1, : N + 1] * w).sum())
-    if abs(f2 - f1) > QUADRATURE_RTOL * max(1.0, abs(f2)):
+    if not abs(f2 - f1) <= QUADRATURE_RTOL * max(1.0, abs(f2)):
         raise QuadratureError(
             f"fidelity quadrature not converged: diff {abs(f2 - f1)} "
             f"at {quad_points}/{2 * quad_points} nodes"

@@ -35,8 +35,8 @@ from .formulas import (
 from .model import (
     ENHANCEMENT_GUARD,
     ParameterError,
+    choose_truncation,
     delta,
-    entropy_truncation,
     make_params,
 )
 
@@ -236,13 +236,13 @@ def _blocked_values(quantity: str, r: float, T1: np.ndarray,
     Each block of T1 holds at most SWEEP_BLOCK doubles of working set:
     CLOSED_CELL_DOUBLES per cell, or ENTROPY_WEIGHT_DOUBLES per weight
     for the entropy, which builds at most N + 1 weights per cell,
-    N = entropy_truncation at the largest T.
+    N = choose_truncation at the largest T.
     """
     T1max = float(np.max(T1, initial=0.0))
     params = make_params(r, T1max, T1max if T2 is None else float(T2.max()))
     width = 1 if T2 is None else len(T2)
     if quantity == "entropy":
-        width *= ENTROPY_WEIGHT_DOUBLES * (entropy_truncation(params) + 1)
+        width *= ENTROPY_WEIGHT_DOUBLES * (choose_truncation(params) + 1)
     else:
         width *= CLOSED_CELL_DOUBLES
     step = max(1, SWEEP_BLOCK // width)

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 import lqcat  # noqa: F401  (the tracer patches every loaded lqcat module)
-from lqcat import oracle, regions
+from lqcat import formulas, oracle, regions
+from lqcat.model import choose_truncation, make_params
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "lqbench" / "tracer.py"
 
@@ -65,6 +66,29 @@ def test_traced_oracle_sweep_reaches_the_oracle():
     spans = t.summary()
     assert spans["oracle.catalyze_oracle"]["calls"] == 1
     assert spans["oracle.cf_fidelity_oracle"]["calls"] == 1
+
+
+def test_traced_routes_record_the_truncation_they_use():
+    # model.choose_truncation.n_sum counts what every truncated sum builds,
+    # so each route must take its N from that one function.
+    params = make_params(1.5, 0.8, 0.9)
+    N = choose_truncation(params)
+    calls = {
+        "report": lambda: importlib.import_module("lqcat.report").report(params),
+        "closed_spectrum": lambda: formulas.closed_spectrum(params),
+        "catalyze_oracle": lambda: oracle.catalyze_oracle(params),
+    }
+    for label, call in calls.items():
+        t = tracer.Tracer()
+        t.install()
+        try:
+            result = call()
+        finally:
+            t.uninstall()
+        span = t.summary()["model.choose_truncation"]
+        assert (span["calls"], span["value"]) == (1, N), label
+        if label != "report":
+            assert len(result[0].weights) == N + 1, label
 
 
 def test_traced_oracle_sweep_computes_only_the_asked_measure():

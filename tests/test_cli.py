@@ -1,14 +1,17 @@
 """Command-line interface tests: formats, exit codes and determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lqcat import oracle
 from lqcat.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -71,6 +74,27 @@ class TestMeasure:
         code, _, err = run(capsys, "measure", "--r", "1", "--t1", "0", "--t2", "0.5")
         assert code == 2
         assert "not normalizable" in err
+
+    def test_quad_points_bound(self, capsys):
+        # The check doubles 181 to 362 nodes; the rule's weights overflow
+        # from 364 on, and at 400 the fidelity printed nan with exit 0.
+        argv = ("measure", "--r", "0.5", "--t", "0.5", "--engine", "oracle")
+        code, out, _ = run(capsys, *argv, "--quad-points", "181", "--json")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["measures"]["fidelity"]["value"])
+        for count in ("182", "200"):
+            code, _, err = run(capsys, *argv, "--quad-points", count)
+            assert code == 2
+            assert "quad_points must be <= 181" in err
+
+    def test_nan_quadrature_exits_3(self, capsys, monkeypatch):
+        # NaN fails the convergence check, as a difference above tolerance does.
+        monkeypatch.setattr(oracle, "_table_for",
+                            lambda N, q: np.full((N + 1, N + 1), np.nan))
+        code, _, err = run(capsys, "measure", "--r", "0.5", "--t", "0.5",
+                           "--engine", "oracle")
+        assert code == 3
+        assert "not converged" in err
 
 
 def _modules_loaded_by(code, prefix):

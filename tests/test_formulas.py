@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-import lqcat.formulas
 from lqcat.formulas import (
     closed_measures,
     closed_spectrum,
@@ -29,12 +28,11 @@ from lqcat.formulas import (
 from lqcat.model import (
     NORM_FLOOR,
     DegeneratePostselectionError,
-    ParameterError,
     entropy_of,
     epr_of,
     make_params,
 )
-from lqcat.oracle import cf_fidelity_oracle
+from lqcat.oracle import catalyze_oracle, cf_fidelity_oracle
 from lqcat.report import report
 
 params_strategy = st.builds(
@@ -212,7 +210,7 @@ class TestSchmidtWeights:
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)
         spec, p = closed_spectrum(params)
-        raw = closed_weights(params.r, params.T1, params.T2, spec.truncation)
+        raw = closed_weights(params.r, params.T1, params.T2, len(spec.weights) - 1)
         assert np.allclose(spec.weights, raw / math.sqrt(p), rtol=1e-14, atol=0.0)
 
     @given(params_strategy)
@@ -234,16 +232,27 @@ class TestSchmidtWeights:
             expect /= math.cosh(params.lam)
             assert weights[n] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
-    def test_closed_spectrum_normalized_and_tailed(self):
-        spec, p = closed_spectrum(make_params(0.9, 0.8, 0.6))
-        assert float(np.sum(spec.weights**2)) == pytest.approx(1.0, abs=1e-12)
-        assert spec.tail_bound < 1e-14
-
-    def test_truncation_doubling_is_capped(self, monkeypatch):
-        # A tail bound that never converges doubles N up to the cap, then stops.
-        monkeypatch.setattr(lqcat.formulas, "tail_estimate", lambda w, q: math.inf)
-        with pytest.raises(ParameterError, match="cap"):
-            closed_spectrum(make_params(0.5, 0.5, 0.5))
+    @pytest.mark.parametrize("route", [closed_spectrum, catalyze_oracle],
+                             ids=["closed_spectrum", "catalyze_oracle"])
+    @example(2.3, 0.575, 0.35)  # N = 30 drops 8.4e-17 of the norm, the most seen
+    @example(2.0, 1.0, 1.0)
+    @example(2.4, 1.0, 1.0)  # N held at MAX_TRUNCATION
+    @example(2.409, 1.0, 1.0)
+    @given(st.floats(0.0, 2.4), unit, unit)
+    @settings(max_examples=100, deadline=None)
+    @seed(20261019)
+    def test_truncated_norm_is_pcd(self, route, r, T1, T2):
+        # The squared norm of the weights up to N, which is the route's
+        # p_cd, against the closed-form sum over all n: a dropped tail
+        # shows as a relative shortfall.
+        params = make_params(r, T1, T2)
+        p_exact = closed_measures(r, T1, T2)[0]
+        if p_exact <= NORM_FLOOR:
+            with pytest.raises(DegeneratePostselectionError):
+                route(params)
+            return
+        _, p_trunc = route(params)
+        assert abs(1.0 - p_trunc / p_exact) <= 1e-14
 
 
 class TestMomentPolynomials:

@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 from lqcat import model
 from lqcat.model import (
-    DEFAULT_EPS_TRUNC,
     ENTROPY_CLASSES,
     ENTROPY_EPS_TRUNC,
     MAX_TRUNCATION,
+    Q_CAP,
     DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
     choose_truncation,
     entropy_of,
-    entropy_truncation,
     epr_of,
     make_params,
     normalize_weights,
-    tail_estimate,
 )
 
 
@@ -60,7 +58,7 @@ class TestSpectrum:
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            SchmidtSpectrum(np.array([0.5, 0.5]), truncation=1, tail_bound=0.0)
+            SchmidtSpectrum(np.array([0.5, 0.5]))
 
     def test_degenerate_norm(self):
         with pytest.raises(DegeneratePostselectionError):
@@ -79,20 +77,12 @@ class TestTruncation:
         ns = [choose_truncation(make_params(r, 0.9, 0.9)) for r in (0.5, 1.0, 1.5)]
         assert ns == sorted(ns)
 
-    def test_tail_estimate_covers_geometric_tail(self):
-        q = 0.6
-        w = q ** np.arange(41)
-        w = w / math.sqrt(float(np.sum(w**2)))
-        exact_tail = float(np.sum((q ** np.arange(41, 400)) ** 2)) / (
-            float(np.sum((q ** np.arange(41)) ** 2))
-        )
-        assert tail_estimate(w, q) >= exact_tail
-
     def test_cap(self):
         # (2, 1, 1), the end of the threshold bracket, is the largest N in
-        # use.  r = 5 needed N = 514,619 (overlap tables of ~2 TB) and r = 8
-        # searched for over 20 s; both now stop at the cap, allocating nothing.
-        assert choose_truncation(make_params(2.0, 1.0, 1.0)) == 844
+        # use (844 under the 1e-14 rule this replaced).  r = 5 needed
+        # N = 514,619 (overlap tables of ~2 TB) and r = 8 searched for over
+        # 20 s; both now stop at the cap, allocating nothing.
+        assert choose_truncation(make_params(2.0, 1.0, 1.0)) == 911
         for r in (5.0, 8.0):
             with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
                 choose_truncation(make_params(r, 1.0, 1.0))
@@ -114,37 +104,76 @@ def _capped(N):
     return None if N > MAX_TRUNCATION else N
 
 
+def _two_rule_truncation(params):
+    """The two rules choose_truncation replaced: N from the 1e-16 rule,
+    kept at MAX_TRUNCATION until the 1e-14 rule passes it too; None where
+    that raised."""
+    q = params.t1 * params.t2 * math.tanh(params.r)
+    N = model._truncation(q, 1e-16)
+    if N <= MAX_TRUNCATION:
+        return N
+    return None if model._truncation(q, 1e-14) > MAX_TRUNCATION else MAX_TRUNCATION
+
+
+def _chosen(params):
+    try:
+        return choose_truncation(params)
+    except ParameterError as exc:
+        assert str(MAX_TRUNCATION) in str(exc)
+        return None
+
+
 class TestClosedFormTruncation:
     def test_matches_the_scan_on_a_seeded_sample(self):
         rng = np.random.default_rng(2026)
         qs = np.concatenate([[0.0, 1e-200, 0.5, 0.99], rng.uniform(0.0, 1.0, 600),
                              1.0 - rng.uniform(0.0, 0.1, 200) ** 2])
-        for eps in (DEFAULT_EPS_TRUNC, ENTROPY_EPS_TRUNC):
-            for q in qs.tolist():
-                assert _capped(model._truncation(q, eps)) == _scan_truncation(q, eps), q
+        for q in qs.tolist():
+            assert (_capped(model._truncation(q, ENTROPY_EPS_TRUNC))
+                    == _scan_truncation(q, ENTROPY_EPS_TRUNC)), q
 
     def test_matches_the_scan_at_every_threshold(self):
         # q_limit(N) is the largest q that N serves; the next float needs
         # N + 1.  Both sides of all 2019 thresholds up to the cap.
         for N in range(30, MAX_TRUNCATION + 1):
-            below = model._q_limit(N, DEFAULT_EPS_TRUNC)
+            below = model._q_limit(N, ENTROPY_EPS_TRUNC)
             above = math.nextafter(below, 1.0)
-            assert _scan_truncation(below, DEFAULT_EPS_TRUNC) == N
-            assert _scan_truncation(above, DEFAULT_EPS_TRUNC) == _capped(N + 1)
+            assert _scan_truncation(below, ENTROPY_EPS_TRUNC) == N
+            assert _scan_truncation(above, ENTROPY_EPS_TRUNC) == _capped(N + 1)
             for q in (below, above):
-                assert (_capped(model._truncation(q, DEFAULT_EPS_TRUNC))
-                        == _scan_truncation(q, DEFAULT_EPS_TRUNC))
+                assert (_capped(model._truncation(q, ENTROPY_EPS_TRUNC))
+                        == _scan_truncation(q, ENTROPY_EPS_TRUNC))
 
     def test_entropy_truncation(self):
-        assert entropy_truncation(make_params(0.5, 0.5, 0.5)) == 30
-        assert entropy_truncation(make_params(2.0, 0.999, 0.999)) == 884
-        assert choose_truncation(make_params(2.0, 0.999, 0.999)) == 819
-        # Between the two rules' caps the entropy keeps N = MAX_TRUNCATION;
-        # past the norm rule's cap both raise.
-        assert choose_truncation(make_params(2.4, 1.0, 1.0)) == 2007
-        assert entropy_truncation(make_params(2.4, 1.0, 1.0)) == MAX_TRUNCATION
+        # choose_truncation gives the N, and the domain, of the two rules
+        # it replaced.
+        assert choose_truncation(make_params(0.5, 0.5, 0.5)) == 30
+        assert choose_truncation(make_params(2.0, 0.999, 0.999)) == 884
+        # Between the two rules' caps N stays at MAX_TRUNCATION; past
+        # Q_CAP, where the 1e-14 rule passes it too, it raises.
+        assert choose_truncation(make_params(2.4, 1.0, 1.0)) == MAX_TRUNCATION
         with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
-            entropy_truncation(make_params(2.5, 1.0, 1.0))
+            choose_truncation(make_params(2.5, 1.0, 1.0))
+        assert _scan_truncation(Q_CAP, 1e-14) == MAX_TRUNCATION
+        assert _scan_truncation(math.nextafter(Q_CAP, 1.0), 1e-14) is None
+        rng = np.random.default_rng(2027)
+        points = [make_params(r, T1, T2) for r, T1, T2 in zip(
+            rng.uniform(0.0, 3.0, 400), 1.0 - rng.uniform(0.0, 1.0, 400) ** 3,
+            1.0 - rng.uniform(0.0, 1.0, 400) ** 3)]
+        # r at T1 = T2 = 1 across atanh(Q_CAP) = 2.4095: evenly from 2.38
+        # (where the 1e-16 rule reaches the cap), and float by float.
+        lo = hi = math.atanh(Q_CAP)
+        near = [lo]
+        for _ in range(64):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 3.0)
+            near += [lo, hi]
+        for rs in (np.linspace(2.38, 2.44, 121).tolist(), near):
+            chosen = [_chosen(make_params(r, 1.0, 1.0)) for r in rs]
+            assert chosen == [_two_rule_truncation(make_params(r, 1.0, 1.0))
+                              for r in rs]
+            assert None in chosen and MAX_TRUNCATION in chosen
+        for params in points:
+            assert _chosen(params) == _two_rule_truncation(params), params
 
     def test_class_limits_serve_their_class(self):
         for N, limit in ENTROPY_CLASSES:

@@ -245,3 +245,6 @@ class TestFidelityQuadrature:
         spec, _ = normalize_weights(np.array([1.0]))
         with pytest.raises(ValueError):
             cf_fidelity_oracle(spec, quad_points=1)
+        # Twice 182 nodes overflow the Gauss-Laguerre weights.
+        with pytest.raises(ValueError):
+            cf_fidelity_oracle(spec, quad_points=182)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from lqcat import regions
 from lqcat.model import (
-    DEFAULT_EPS_TRUNC,
     NORM_FLOOR,
     DegeneratePostselectionError,
     ParameterError,
@@ -208,9 +207,9 @@ class TestSweep:
         assert peak < 10 << 20
         # Each block caps its top truncation class at its own largest T, as
         # sweep's blocks do, so the values agree with the one-block row to
-        # the tail target, not bit for bit (measured: 6.4e-16).
+        # 1e-14, not bit for bit (measured: 6.4e-16).
         whole = symmetric_row(r, T).entropy
-        assert np.allclose(grid.raw[0], whole, rtol=0.0, atol=DEFAULT_EPS_TRUNC)
+        assert np.allclose(grid.raw[0], whole, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
     def test_closed_measure_blocks_are_sized_by_working_set(self, quantity,
