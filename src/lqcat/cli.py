@@ -169,6 +169,9 @@ def cmd_measure(args) -> int:
 def cmd_sweep(args) -> int:
     r_axis = _parse_axis(args.r)
     if args.t is not None:
+        if args.engine == "oracle":
+            raise ParameterError("--t sweeps the closed forms only; give "
+                                 "--t1/--t2 for --engine oracle")
         grid = symmetric_sweep(args.quantity, r_axis, _parse_axis(args.t))
     else:
         t1 = _parse_axis(args.t1) if args.t1 else _default_t_axis(args.t_grid)

@@ -11,13 +11,15 @@ sign rule of enhancement deltas.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 TRUNCATION_FLOOR = 30
 # Largest retained photon number.  An overlap table for it is 2049^2
-# doubles (34 MB); every point with r <= 2 needs at most N = 911.
+# doubles (34 MB); every point with r <= 2 needs at most N = 960.
 MAX_TRUNCATION = 2048
 # Tail target of the truncation: a dropped squared weight eps moves the
 # entropy by about eps log2(1/eps), some 50 eps at this target.
@@ -27,6 +29,9 @@ ENTROPY_EPS_TRUNC = 1e-16
 # from 364 nodes on.
 DEFAULT_QUAD_POINTS = 120
 MAX_QUAD_POINTS = 181
+# Largest squeezing: from the next float on, sinh(r)^2 and cosh(r)^2
+# overflow.
+R_MAX = math.asinh(math.sqrt(sys.float_info.max))
 NORMALIZATION_TOL = 1e-12
 NORM_FLOOR = 1e-300
 _SMALLEST_SUBNORMAL = 5e-324
@@ -69,8 +74,8 @@ class CatalysisParams:
 
 def make_params(r: float, T1: float, T2: float) -> CatalysisParams:
     """Validate (r, T1, T2) and populate the derived fields."""
-    if not math.isfinite(r) or r < 0:
-        raise ParameterError(f"r must be finite and >= 0, got {r}")
+    if not 0.0 <= r <= R_MAX:
+        raise ParameterError(f"r must be in [0, R_MAX = {R_MAX!r}], got {r}")
     if not math.isfinite(T1) or not 0.0 <= T1 <= 1.0:
         raise ParameterError(f"T1 must be in [0, 1], got {T1}")
     if not math.isfinite(T2) or not 0.0 <= T2 <= 1.0:
@@ -112,31 +117,6 @@ def _tail_margin(N: int, q2: float) -> float:
     return (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2)
 
 
-def _truncation(q: float, eps: float) -> int:
-    """Smallest N >= TRUNCATION_FLOOR with _tail_margin(N, q^2) < eps.
-
-    With L = -ln q^2 and C = -ln(eps (1 - q^2)) the rule reads
-    (N+1) L > C + 4 ln(N+2).  The map N -> (C + 4 ln(N+2)) / L - 1 is
-    increasing and has the rule's one real root as its fixed point, so
-    its iterates from C / L - 1 are lower bounds that converge to it, by
-    a factor 4 / (L (N+2)) <= 1/8 per step.  A final exact check steps up
-    to the first N that passes; above the floor the margin falls with N,
-    so that N is the first one a scan from the floor would find.
-    """
-    q2 = q * q
-    if _tail_margin(TRUNCATION_FLOOR, q2) < eps:
-        return TRUNCATION_FLOOR
-    L = -math.log(q2)
-    C = -math.log(eps * (1.0 - q2))
-    bound = C / L - 1.0
-    for _ in range(4):
-        bound = (C + 4.0 * math.log(bound + 2.0)) / L - 1.0
-    N = max(TRUNCATION_FLOOR, int(bound) - 1)
-    while _tail_margin(N, q2) >= eps:
-        N += 1
-    return N
-
-
 def _q_limit(N: int, eps: float) -> float:
     """Largest q at which N passes the truncation rule, by bisection."""
     lo, hi = 0.0, 1.0
@@ -148,34 +128,39 @@ def _q_limit(N: int, eps: float) -> float:
     return lo
 
 
-# Entropy truncation classes: N doubling from the floor, each paired with
-# the largest q it serves.  The limits depend on N only.
-ENTROPY_CLASSES = tuple((N, _q_limit(N, ENTROPY_EPS_TRUNC))
-                        for N in (TRUNCATION_FLOOR << k for k in range(7)))
-
-
 # Largest q in the domain: where the rule at a squared-norm tail of 1e-14
-# would pass MAX_TRUNCATION (r = 2.4095 at T1 = T2 = 1).  Between the 1e-16
-# rule's limit at the cap and this one, N stays at MAX_TRUNCATION.
+# would pass MAX_TRUNCATION (r = 2.4095 at T1 = T2 = 1).
 Q_CAP = _q_limit(MAX_TRUNCATION, 1e-14)
+
+# Truncation classes: N doubling from the floor, each paired with the
+# largest q it serves, then the cap, which serves q up to Q_CAP.  The
+# limits depend on N only.
+ENTROPY_CLASSES = tuple((N, _q_limit(N, ENTROPY_EPS_TRUNC))
+                        for N in (TRUNCATION_FLOOR << k for k in range(7))
+                        ) + ((MAX_TRUNCATION, Q_CAP),)
+CLASS_LIMITS = tuple(limit for _, limit in ENTROPY_CLASSES)
 
 
 def choose_truncation(params: CatalysisParams) -> int:
-    """Retained photon number N of every truncated sum: the smallest
-    N >= TRUNCATION_FLOOR whose tail bound _tail_margin is below
-    ENTROPY_EPS_TRUNC, at most MAX_TRUNCATION.
+    """Retained photon number N of every truncated sum: the N of the first
+    of ENTROPY_CLASSES whose q-limit covers q = t1*t2*tanh(r).
 
-    The squared weights decay like q^(2n) with q = t1*t2*tanh(r), times a
-    quadratic-in-n polynomial; the bound inflates the geometric tail by
-    the quartic (n+2)^4 margin.  Raises ParameterError for q above Q_CAP.
+    The squared weights decay like q^(2n) times a quadratic-in-n
+    polynomial, and _tail_margin inflates the geometric tail by a quartic
+    (n+2)^4 margin.  A doubling class N passes the rule at
+    ENTROPY_EPS_TRUNC exactly when q is at most its limit, so N is the
+    first class at or above the smallest passing N, and at most twice it.
+    The last class, MAX_TRUNCATION, serves q up to Q_CAP; above it,
+    raises ParameterError.
     """
     q = params.t1 * params.t2 * math.tanh(params.r)
-    if q > Q_CAP:
+    k = bisect_left(CLASS_LIMITS, q)
+    if k == len(CLASS_LIMITS):
         raise ParameterError(
             f"(r, T1, T2) = ({params.r}, {params.T1}, {params.T2}) needs a "
             f"truncation above the cap N = {MAX_TRUNCATION}"
         )
-    return min(_truncation(q, ENTROPY_EPS_TRUNC), MAX_TRUNCATION)
+    return ENTROPY_CLASSES[k][0]
 
 
 def entropy_bits(p: np.ndarray) -> np.ndarray:

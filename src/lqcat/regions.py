@@ -47,9 +47,10 @@ GRID_CAP = 10**7
 # Working set of one sweep block, in doubles (4 MiB).  closed_measures
 # holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
 # of p_cd, EPR or fidelity cells takes 10,485 of them, enough for a
-# 100 x 100 map.  The entropy's weights are counted at 8 doubles, above
-# the 0.4-3 closed_entropy holds, which keeps its blocks at 2^16 weights:
-# its class caps are per block, so its values depend on the block size.
+# 100 x 100 map.  The entropy's weights are counted at 8 doubles, a
+# conservative bound on the 0.4-3 closed_entropy holds (2^16 weights per
+# block).  No value depends on the block size: each cell's truncation
+# depends on its own row only.
 SWEEP_BLOCK = 1 << 19
 CLOSED_CELL_DOUBLES = 50
 ENTROPY_WEIGHT_DOUBLES = 8
@@ -81,10 +82,10 @@ class RowMeasures:
     p_cd, the EPR variance and the fidelity come from closed_measures,
     with no truncation.  Only the entropy builds weights, through
     formulas.closed_entropy: each index along the first axis is truncated
-    at the class its own largest q = t1 t2 tanh r needs, not at the N of
-    the row's largest T, and a property test (test_regions.py,
-    test_entropy_against_40_digit_sums) holds it within 1e-14 of 40-digit
-    sums.  Where the heralding probability underflows, every measure but
+    at the N that choose_truncation gives for its own largest
+    q = t1 t2 tanh r, not at the N of the row's largest T, and a property
+    test (test_regions.py, test_entropy_against_40_digit_sums) holds it
+    within 1e-14 of 40-digit sums.  Where the heralding probability underflows, every measure but
     pcd is NaN.
     """
 
@@ -153,28 +154,6 @@ class RegionGrid:
     raw: np.ndarray
     baselines: np.ndarray
 
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES + ("common",):
-            raise ParameterError(f"unknown quantity {self.quantity!r}")
-        for name, axis, lo, hi in (
-            ("axis_r", self.axis_r, 0.0, math.inf),
-            ("axis_T1", self.axis_T1, 0.0, 1.0),
-            ("axis_T2", self.axis_T2, 0.0, 1.0),
-        ):
-            if axis is None:
-                continue
-            if len(axis) == 0 or np.any(np.diff(axis) <= 0.0):
-                raise ParameterError(f"{name} must be strictly increasing")
-            if axis[0] < lo or axis[-1] > hi:
-                raise ParameterError(f"{name} out of bounds")
-        expected = (len(self.axis_r), len(self.axis_T1))
-        if self.axis_T2 is not None:
-            expected += (len(self.axis_T2),)
-        if self.values.shape != expected or self.raw.shape != expected:
-            raise ParameterError(
-                f"values shape {self.values.shape} does not match axes {expected}"
-            )
-
     @property
     def enhanced(self) -> np.ndarray:
         return self.values > ENHANCEMENT_GUARD
@@ -201,18 +180,41 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     is row-major over (r, T1, T2).  Points whose heralding probability
     underflows are reported as NaN.
     """
-    if quantity not in QUANTITIES:
-        raise ParameterError(f"unknown quantity {quantity!r}")
     if engine not in ("closed_form", "oracle"):
         raise ParameterError(f"unknown engine {engine!r}")
-    axis_r = np.asarray(r_values, dtype=float)
-    axis_T1 = np.asarray(T1_values, dtype=float)
-    axis_T2 = np.asarray(T2_values, dtype=float)
-    _check_grid(len(axis_r), len(axis_T1), len(axis_T2))
+    return _sweep(quantity, r_values, T1_values, T2_values, engine)
 
-    raw = np.empty((len(axis_r), len(axis_T1), len(axis_T2)))
+
+def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
+    """Sweep along the T1 = T2 diagonal; values have shape (r, T)."""
+    return _sweep(quantity, r_values, T_values, None, "closed_form")
+
+
+def _sweep(quantity: str, r_values, T1_values, T2_values, engine: str):
+    """The body of sweep, and of symmetric_sweep with T2_values None.
+
+    Every input is checked before any baseline or row is computed: the
+    quantity, the axis counts against GRID_CAP, each axis strictly
+    increasing (so NaN fails), then both corners of the grid by
+    make_params, which bounds every r and T in between, and, where a
+    route truncates, the truncation cap at the top corner.
+    """
+    if quantity not in QUANTITIES:
+        raise ParameterError(f"unknown quantity {quantity!r}")
+    names = ("r", "T") if T2_values is None else ("r", "T1", "T2")
+    axes = [np.asarray(values, dtype=float)
+            for values in (r_values, T1_values, T2_values)[:len(names)]]
+    _check_grid(*map(len, axes))
+    for name, axis in zip(names, axes):
+        if not np.all(np.diff(axis) > 0.0):
+            raise ParameterError(f"the {name} axis must be strictly increasing")
+    for end in (0, -1):
+        corner = make_params(axes[0][end], axes[1][end], axes[-1][end])
+    if quantity == "entropy" or engine == "oracle":
+        choose_truncation(corner)  # the grid's largest q
+    axis_r, axis_T1, axis_T2 = (axes + [None])[:3]
     baselines = np.array([_baseline(quantity, r) for r in axis_r])
-
+    raw = np.empty(tuple(map(len, axes)))
     for i, r in enumerate(axis_r):
         if engine == "oracle":
             from .oracle import oracle_measure
@@ -221,8 +223,7 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
                        for T2 in axis_T2] for T1 in axis_T1]
         else:
             raw[i] = _blocked_values(quantity, r, axis_T1, axis_T2)
-
-    values = delta(quantity, raw, baselines[:, None, None])
+    values = delta(quantity, raw, baselines.reshape((-1,) + (1,) * (raw.ndim - 1)))
     return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T1,
                       axis_T2=axis_T2, values=values, raw=raw,
                       baselines=baselines)
@@ -253,23 +254,6 @@ def _blocked_values(quantity: str, r: float, T1: np.ndarray,
                 else RowMeasures(r=r, T1=block[:, None], T2=T2))
         out[j:j + step] = rows.values(quantity)
     return out
-
-
-def symmetric_sweep(quantity: str, r_values, T_values) -> RegionGrid:
-    """Sweep along the T1 = T2 diagonal; values have shape (r, T)."""
-    if quantity not in QUANTITIES:
-        raise ParameterError(f"unknown quantity {quantity!r}")
-    axis_r = np.asarray(r_values, dtype=float)
-    axis_T = np.asarray(T_values, dtype=float)
-    _check_grid(len(axis_r), len(axis_T))
-    raw = np.empty((len(axis_r), len(axis_T)))
-    baselines = np.array([_baseline(quantity, r) for r in axis_r])
-    for i, r in enumerate(axis_r):
-        raw[i] = _blocked_values(quantity, r, axis_T)
-    values = delta(quantity, raw, baselines[:, None])
-    return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T,
-                      axis_T2=None, values=values, raw=raw,
-                      baselines=baselines)
 
 
 @dataclass(frozen=True)

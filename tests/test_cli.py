@@ -3,16 +3,18 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lqcat import oracle
-from lqcat.cli import main
+from lqcat.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,6 +77,28 @@ class TestMeasure:
         assert code == 2
         assert "not normalizable" in err
 
+    def test_squeezing_bound(self, capsys):
+        # From r = 355.58... on, sinh(r)^2 overflows; r = 356 exited 1 with
+        # an OverflowError traceback.
+        for argv in (("measure", "--r", "356", "--t", "0.5"),
+                     ("sweep", "--quantity", "epr", "--r", "356", "--t", "0.3")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "R_MAX" in err
+
+    def test_large_r_baseline_entropy(self, capsys):
+        # The baseline entropy at r = 20 is 57.15 bits; it used to come out
+        # as 0, so catalysis (2.21 bits) read as an enhancement.
+        code, out, _ = run(capsys, "measure", "--r", "20", "--t", "0.3",
+                           "--json", "--no-meta")
+        assert code == 0
+        entropy = json.loads(out)["measures"]["entropy"]
+        assert entropy["baseline"] == pytest.approx(57.150496676447, rel=1e-12)
+        assert entropy["enhanced"] is False
+        code, out, _ = run(capsys, "measure", "--r", "20", "--t", "0.3")
+        assert code == 0
+        assert out.splitlines()[3].split()[::4] == ["entropy", "no"]
+
     def test_quad_points_bound(self, capsys):
         # The check doubles 181 to 362 nodes; the rule's weights overflow
         # from 364 on, and at 400 the fidelity printed nan with exit 0.
@@ -95,6 +119,21 @@ class TestMeasure:
                            "--engine", "oracle")
         assert code == 3
         assert "not converged" in err
+
+
+COMMANDS = Path(__file__).resolve().parent / "cli_commands.txt"
+
+
+def test_command_set_parses():
+    # The same-behaviour command set must track the parser, so that a
+    # renamed option cannot leave it stale.
+    parser = build_parser()
+    lines = [line for line in COMMANDS.read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    assert len(lines) >= 43
+    for line in lines:
+        args = parser.parse_args(shlex.split(line) + ["--no-meta"])
+        assert args.no_meta, line
 
 
 def _modules_loaded_by(code, prefix):
@@ -179,6 +218,24 @@ class TestSweep:
                              "--t2", "0.1:0.9:5", "-o", str(p))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_symmetric_axis_has_no_oracle_engine(self, capsys):
+        # symmetric_sweep evaluates the closed forms only; --engine oracle
+        # with --t used to print the closed-form CSV.
+        code, out, err = run(capsys, "sweep", "--quantity", "epr", "--r", "0.5",
+                             "--t", "0.5", "--engine", "oracle", "--no-meta")
+        assert (code, out) == (2, "")
+        assert "--t1/--t2" in err
+
+    def test_bad_axis_exits_before_any_work(self, capsys):
+        # A negative T used to reach numpy's sqrt (a RuntimeWarning) before
+        # the axis check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--quantity", "entropy",
+                                 "--r", "0.5", "--t1=-0.5,0.5", "--t2", "0.5")
+        assert (code, out) == (2, "")
+        assert "T1 must be in [0, 1]" in err
 
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "sweep", "--quantity", "pcd", "--r", "0.5",

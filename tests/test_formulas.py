@@ -334,6 +334,17 @@ class TestBaselines:
             expect = ((1 + x) * (1 + x).ln() - x * x.ln()) / Decimal(2).ln()
         assert tmsvs_entropy(r) == pytest.approx(float(expect), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("r", [1e-150, 1e-8, 0.784, 2.4, 5.0, 10.0, 15.0,
+                                   18.0, 19.0, 20.0, 40.0, 100.0, 300.0, 355.0])
+    def test_entropy_against_mpmath(self, r):
+        # (1+x) log2(1+x) - x log2(x) cancelled: 1.5e-4 relative error at
+        # r = 15, 0.35 at r = 18 and 0 returned from r = 19 on.  The
+        # reference needs 400 digits: at 50, 1 + x rounds to x at r = 100.
+        with mpmath.workdps(400):
+            x = mpmath.sinh(mpmath.mpf(r)) ** 2
+            expect = ((1 + x) * mpmath.log(1 + x) - x * mpmath.log(x)) / mpmath.log(2)
+        assert tmsvs_entropy(r) == pytest.approx(float(expect), rel=1e-15, abs=0.0)
+
     def test_entropy_matches_direct_sum(self):
         r = 0.5
         spec, _ = closed_spectrum(make_params(r, 1.0, 1.0))

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqcat import model
 from lqcat.model import (
     ENTROPY_CLASSES,
     ENTROPY_EPS_TRUNC,
     MAX_TRUNCATION,
     Q_CAP,
+    R_MAX,
     DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
@@ -31,6 +31,15 @@ class TestMakeParams:
         assert p.t2 == pytest.approx(0.9)
         assert math.tanh(p.lam) == pytest.approx(0.63 * math.tanh(0.5))
 
+    def test_r_max(self):
+        # The largest r at which sinh(r)^2 and cosh(r)^2 are finite.
+        assert math.isfinite(math.sinh(R_MAX) ** 2)
+        make_params(R_MAX, 0.5, 0.5)
+        with pytest.raises(ParameterError, match="R_MAX"):
+            make_params(math.nextafter(R_MAX, math.inf), 0.5, 0.5)
+        with pytest.raises(OverflowError):
+            math.sinh(math.nextafter(R_MAX, math.inf)) ** 2
+
     def test_swapped(self):
         p = make_params(0.3, 0.2, 0.8)
         q = p.swapped()
@@ -44,6 +53,7 @@ class TestMakeParams:
         (0.5, 0.5, 1.01),
         (0.5, math.inf, 0.5),
         (25.0, 1.0, 1.0),  # t1 t2 tanh(r) rounds to 1
+        (356.0, 0.5, 0.5),  # sinh(r)^2 overflows
     ])
     def test_rejects_bad_inputs(self, r, T1, T2):
         with pytest.raises(ParameterError):
@@ -79,18 +89,19 @@ class TestTruncation:
 
     def test_cap(self):
         # (2, 1, 1), the end of the threshold bracket, is the largest N in
-        # use (844 under the 1e-14 rule this replaced).  r = 5 needed
-        # N = 514,619 (overlap tables of ~2 TB) and r = 8 searched for over
-        # 20 s; both now stop at the cap, allocating nothing.
-        assert choose_truncation(make_params(2.0, 1.0, 1.0)) == 911
+        # use (844 under the 1e-14 rule, 911 as the smallest N passing the
+        # 1e-16 rule, 960 as its class).  r = 5 needed N = 514,619 (overlap
+        # tables of ~2 TB) and r = 8 searched for over 20 s; both now stop
+        # at the cap, allocating nothing.
+        assert choose_truncation(make_params(2.0, 1.0, 1.0)) == 960
         for r in (5.0, 8.0):
             with pytest.raises(ParameterError, match=str(MAX_TRUNCATION)):
                 choose_truncation(make_params(r, 1.0, 1.0))
 
 
 def _scan_truncation(q, eps):
-    """The linear scan from the floor that choose_truncation used to run;
-    None past MAX_TRUNCATION, where it raised."""
+    """The smallest N >= 30 that passes the rule (N+2)^4 q^(2N+2) / (1 - q^2)
+    < eps, by a linear scan from the floor; None past MAX_TRUNCATION."""
     N = 30
     q2 = q * q
     while (N + 2) ** 4 * q2 ** (N + 1) / (1.0 - q2) >= eps:
@@ -100,19 +111,29 @@ def _scan_truncation(q, eps):
     return N
 
 
-def _capped(N):
-    return None if N > MAX_TRUNCATION else N
+# The class N of the table, written out: doubling from the floor, then the cap.
+CLASS_NS = [30, 60, 120, 240, 480, 960, 1920, MAX_TRUNCATION]
 
 
-def _two_rule_truncation(params):
-    """The two rules choose_truncation replaced: N from the 1e-16 rule,
-    kept at MAX_TRUNCATION until the 1e-14 rule passes it too; None where
-    that raised."""
-    q = params.t1 * params.t2 * math.tanh(params.r)
-    N = model._truncation(q, 1e-16)
-    if N <= MAX_TRUNCATION:
-        return N
-    return None if model._truncation(q, 1e-14) > MAX_TRUNCATION else MAX_TRUNCATION
+def _table_truncation(q):
+    """The rule choose_truncation implements, from scans: the first class
+    at or above the smallest N that passes the 1e-16 rule.  Where no N up
+    to the cap passes it, MAX_TRUNCATION until the 1e-14 rule fails the
+    cap too, and None (a ParameterError) beyond."""
+    N = _scan_truncation(q, ENTROPY_EPS_TRUNC)
+    if N is None:
+        return None if _scan_truncation(q, 1e-14) is None else MAX_TRUNCATION
+    return min(n for n in CLASS_NS if n >= N)
+
+
+def _q_of(params):
+    return params.t1 * params.t2 * math.tanh(params.r)
+
+
+def _at_q(q):
+    """A point at q = t1 t2 tanh r: tanh(20) rounds to 1, and
+    sqrt(q^2) is q unless q^2 underflows."""
+    return make_params(20.0, q * q, 1.0)
 
 
 def _chosen(params):
@@ -123,32 +144,47 @@ def _chosen(params):
         return None
 
 
+def _check_first_passing_class(params):
+    """choose_truncation is the table rule: its N passes the rule (or is
+    the cap), and the class below it does not."""
+    q = _q_of(params)
+    N = _chosen(params)
+    assert N == _table_truncation(q), q
+    if N is None:
+        return
+    smallest = _scan_truncation(q, ENTROPY_EPS_TRUNC)
+    assert smallest is None and N == MAX_TRUNCATION or smallest <= N, q
+    k = CLASS_NS.index(N)
+    assert k == 0 or CLASS_NS[k - 1] < (smallest or math.inf), q
+
+
 class TestClosedFormTruncation:
     def test_matches_the_scan_on_a_seeded_sample(self):
         rng = np.random.default_rng(2026)
         qs = np.concatenate([[0.0, 1e-200, 0.5, 0.99], rng.uniform(0.0, 1.0, 600),
                              1.0 - rng.uniform(0.0, 0.1, 200) ** 2])
         for q in qs.tolist():
-            assert (_capped(model._truncation(q, ENTROPY_EPS_TRUNC))
-                    == _scan_truncation(q, ENTROPY_EPS_TRUNC)), q
+            _check_first_passing_class(_at_q(q))
 
     def test_matches_the_scan_at_every_threshold(self):
-        # q_limit(N) is the largest q that N serves; the next float needs
-        # N + 1.  Both sides of all 2019 thresholds up to the cap.
-        for N in range(30, MAX_TRUNCATION + 1):
-            below = model._q_limit(N, ENTROPY_EPS_TRUNC)
-            above = math.nextafter(below, 1.0)
-            assert _scan_truncation(below, ENTROPY_EPS_TRUNC) == N
-            assert _scan_truncation(above, ENTROPY_EPS_TRUNC) == _capped(N + 1)
-            for q in (below, above):
-                assert (_capped(model._truncation(q, ENTROPY_EPS_TRUNC))
-                        == _scan_truncation(q, ENTROPY_EPS_TRUNC))
+        # A class limit is the largest q its class serves; the next float
+        # needs the next class.
+        assert [N for N, _ in ENTROPY_CLASSES] == CLASS_NS
+        for k, (N, limit) in enumerate(ENTROPY_CLASSES):
+            at, above = _at_q(limit), _at_q(math.nextafter(limit, 1.0))
+            assert _q_of(at) == limit and _q_of(above) > limit
+            assert _chosen(at) == N
+            assert _chosen(above) == (CLASS_NS[k + 1] if N < MAX_TRUNCATION
+                                      else None)
+            _check_first_passing_class(at)
+            _check_first_passing_class(above)
 
     def test_entropy_truncation(self):
-        # choose_truncation gives the N, and the domain, of the two rules
-        # it replaced.
+        # choose_truncation's N per point, and the domain of the two rules
+        # the table replaced.
         assert choose_truncation(make_params(0.5, 0.5, 0.5)) == 30
-        assert choose_truncation(make_params(2.0, 0.999, 0.999)) == 884
+        assert choose_truncation(make_params(2.0, 0.5, 0.5)) == 60
+        assert choose_truncation(make_params(2.0, 0.999, 0.999)) == 960
         # Between the two rules' caps N stays at MAX_TRUNCATION; past
         # Q_CAP, where the 1e-14 rule passes it too, it raises.
         assert choose_truncation(make_params(2.4, 1.0, 1.0)) == MAX_TRUNCATION
@@ -169,16 +205,21 @@ class TestClosedFormTruncation:
             near += [lo, hi]
         for rs in (np.linspace(2.38, 2.44, 121).tolist(), near):
             chosen = [_chosen(make_params(r, 1.0, 1.0)) for r in rs]
-            assert chosen == [_two_rule_truncation(make_params(r, 1.0, 1.0))
+            assert chosen == [_table_truncation(_q_of(make_params(r, 1.0, 1.0)))
                               for r in rs]
             assert None in chosen and MAX_TRUNCATION in chosen
         for params in points:
-            assert _chosen(params) == _two_rule_truncation(params), params
+            assert _chosen(params) == _table_truncation(_q_of(params)), params
 
     def test_class_limits_serve_their_class(self):
+        # Each limit is the largest q at which its N passes the rule: 1e-16
+        # for the doubling classes, 1e-14 for the cap.
         for N, limit in ENTROPY_CLASSES:
-            assert model._truncation(limit, ENTROPY_EPS_TRUNC) <= N
-            assert model._truncation(math.nextafter(limit, 1.0), ENTROPY_EPS_TRUNC) > N
+            eps = 1e-14 if N == MAX_TRUNCATION else ENTROPY_EPS_TRUNC
+            assert _scan_truncation(limit, eps) <= N
+            assert (_scan_truncation(math.nextafter(limit, 1.0), eps)
+                    or math.inf) > N
+        assert ENTROPY_CLASSES[-1] == (MAX_TRUNCATION, Q_CAP)
 
 
 class TestMeasures:

@@ -72,6 +72,16 @@ class TestSymmetricRow:
             )
             assert row.deltas("epr")[j] == pytest.approx(rep.epr_delta, abs=1e-12)
 
+    def test_report_entropy_is_the_row_cell(self):
+        # A point and a row truncate each cell at the N of its own q, so
+        # report and symmetric_row agree bit for bit.
+        rng = np.random.default_rng(12)
+        for r in rng.uniform(0.0, 2.4, 20).tolist() + [2.0]:
+            T = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 8), [0.5, 1.0]]))
+            row = symmetric_row(r, T).entropy
+            for j, t in enumerate(T.tolist()):
+                assert report(make_params(r, t, t)).entropy == row[j], (r, t)
+
     def test_identity_line_has_no_enhancement(self):
         for r in (0.1, 0.5, 1.0, 1.8):
             row = symmetric_row(r, np.array([1.0]))
@@ -154,10 +164,17 @@ class TestSweep:
         assert np.allclose(ab.raw, ba.raw.transpose(0, 2, 1), rtol=0.0, atol=1e-13)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        args = ("fidelity", [0.3, 0.7], np.linspace(0.05, 0.95, 7), [0.2, 0.5, 0.8])
-        whole = sweep(*args)
-        monkeypatch.setattr(regions, "SWEEP_BLOCK", 1)  # one T1 per block
-        assert np.allclose(sweep(*args).raw, whole.raw, rtol=0.0, atol=1e-15)
+        # r = 2 puts the T1 rows in four truncation classes.
+        T1 = np.linspace(0.05, 0.95, 7)
+        for quantity in ("entropy", "fidelity"):
+            args = (quantity, [0.3, 0.7, 2.0], T1, [0.2, 0.5, 0.8])
+            whole = sweep(*args).raw
+            diagonal = symmetric_sweep(quantity, args[1], T1).raw
+            with monkeypatch.context() as m:
+                m.setattr(regions, "SWEEP_BLOCK", 1)  # one T1 per block
+                assert np.array_equal(sweep(*args).raw, whole), quantity
+                assert np.array_equal(
+                    symmetric_sweep(quantity, args[1], T1).raw, diagonal)
 
     def test_engines_agree(self):
         for quantity in ("entropy", "epr", "fidelity", "pcd"):
@@ -188,6 +205,39 @@ class TestSweep:
         with pytest.raises(ParameterError, match="empty"):
             sweep("pcd", *axes)
 
+    @pytest.mark.parametrize("args", [
+        ([0.5], [-0.5, 0.5], [0.5]),
+        ([0.5], [0.5], [math.nan]),
+        ([0.5], [0.2, math.nan], [0.5]),
+        ([0.5], [0.5, 0.5], [0.5]),
+        ([0.5, 0.3], [0.5], [0.5]),
+        ([356.0], [0.3], [0.3]),
+        ([0.5, math.inf], [0.3], [0.3]),
+        ([0.5, 3.0], [1.0], [1.0]),
+        ([0.5], [0.5, 1.5], None),
+        ([356.0], [0.3], None),
+        ([0.5], [0.3, 0.2], None),
+    ])
+    def test_bad_axis_raises_before_any_work(self, args, monkeypatch):
+        # The baselines used to be computed, and the grid evaluated, before
+        # the axes were checked: r = 356 overflowed in the entropy baseline,
+        # a negative T reached numpy's sqrt, and r = 3 at T = 1 passed the
+        # truncation cap only after the r = 0.5 row.
+        monkeypatch.setattr(regions, "_blocked_values", None)
+        monkeypatch.setattr(regions, "_baseline", None)
+        with pytest.raises(ParameterError):
+            if args[2] is None:
+                symmetric_sweep("entropy", *args[:2])
+            else:
+                sweep("entropy", *args)
+
+    def test_oracle_sweep_checks_the_cap_first(self, monkeypatch):
+        # The oracle route truncates every quantity, so r = 3 at T = 1
+        # raises before any baseline or point.
+        monkeypatch.setattr(regions, "_baseline", None)
+        with pytest.raises(ParameterError, match="cap"):
+            sweep("pcd", [0.5, 3.0], [1.0], [1.0], engine="oracle")
+
     def test_bad_quantity_and_engine(self):
         with pytest.raises(ParameterError):
             sweep("negativity", [0.5], [0.5], [0.5])
@@ -196,20 +246,19 @@ class TestSweep:
 
     def test_symmetric_sweep_is_blocked(self):
         # One unblocked row would hold (len(T), N + 1) weights: a 123 MB
-        # peak here.
-        r, T = 0.8, np.linspace(0.001, 0.999, 50_000)
-        tracemalloc.start()
-        try:
-            grid = symmetric_sweep("entropy", [r], T)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 << 20
-        # Each block caps its top truncation class at its own largest T, as
-        # sweep's blocks do, so the values agree with the one-block row to
-        # 1e-14, not bit for bit (measured: 6.4e-16).
-        whole = symmetric_row(r, T).entropy
-        assert np.allclose(grid.raw[0], whole, rtol=0.0, atol=1e-14)
+        # peak at r = 0.8.
+        T = np.linspace(0.001, 0.999, 50_000)
+        for r in (0.8, 2.0):
+            tracemalloc.start()
+            try:
+                grid = symmetric_sweep("entropy", [r], T)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 << 20
+            # Each cell's truncation depends on its own q only, so the
+            # blocks change no value.
+            assert np.array_equal(grid.raw[0], symmetric_row(r, T).entropy), r
 
     @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
     def test_closed_measure_blocks_are_sized_by_working_set(self, quantity,
