@@ -10,6 +10,7 @@ only the oracle engine and verify run, 4 output I/O.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -25,8 +26,6 @@ from .formulas import (
     published_success_probability,
 )
 from .model import (
-    DEFAULT_QUAD_POINTS,
-    MAX_QUAD_POINTS,
     DegeneratePostselectionError,
     ParameterError,
     QuadratureError,
@@ -120,7 +119,7 @@ def cmd_measure(args) -> int:
     if args.engine in ("oracle", "both"):
         from .oracle import oracle_report
 
-        oracle = oracle_report(params, args.quad_points)
+        oracle = oracle_report(params)
     primary = oracle if args.engine == "oracle" else closed
     measures = {
         q: {
@@ -239,6 +238,50 @@ VERIFY_GRIDS = {
 }
 
 
+def _grid_residuals(params) -> tuple:
+    """verify's residuals at one grid point: |dw| and |dp| between the
+    closed-form spectrum and the circuit simulation; the closed forms'
+    relative p_cd, |dEPR| and |dF| against the closed-form spectrum's
+    squared norm, EPR variance and CF-quadrature fidelity; the printed
+    p_cd polynomial's relative error; then the printed fidelity's gap to
+    the quadrature and the printed EPR's gap to the circuit spectrum."""
+    from .oracle import catalyze_oracle, cf_fidelity_oracle
+
+    spec_c, p_c = closed_spectrum(params)
+    spec_o, p_o = catalyze_oracle(params)
+    n = min(len(spec_c.weights), len(spec_o.weights))
+    fid_q = cf_fidelity_oracle(spec_c)
+    p_f, epr_f, fid_f = closed_measures(params.r, params.T1, params.T2)
+    return (float(np.max(np.abs(spec_c.weights[:n] - spec_o.weights[:n]))),
+            abs(p_c - p_o),
+            abs(p_f - p_c) / p_c,
+            abs(epr_f - epr_of(spec_c)),
+            abs(fid_f - fid_q),
+            abs(published_success_probability(params) - p_c) / p_c,
+            abs(fidelity_closed(params) - fid_q),
+            abs(epr_closed(params) - epr_of(spec_o)))
+
+
+def _identity_residual(r) -> float:
+    """Largest scaled gap between report at T1 = T2 = 1 and the squeezed
+    vacuum it must reduce to."""
+    rep = report(make_params(r, 1.0, 1.0))
+    return max(abs(rep.p_cd - 1.0), abs(rep.entropy_delta) / 1e2,
+               abs(rep.epr_delta) / 1e2, abs(rep.fidelity_delta) / 1e4)
+
+
+def _twin_fock_residual(r, T2) -> float:
+    """Largest scaled gap between the T1 = 0 spectrum and the twin-Fock
+    state |1,1> it must be, with its heralding probability."""
+    from .oracle import cf_fidelity_oracle
+
+    spec, p = closed_spectrum(make_params(r, 0.0, T2))
+    expect_p = (1 - 2 * T2) ** 2 * math.tanh(r) ** 2 / math.cosh(r) ** 2
+    return max(abs(abs(spec.weights[1]) - 1.0), abs(entropy_of(spec)),
+               abs(epr_of(spec) - 6.0), abs(cf_fidelity_oracle(spec) - 0.25) / 1e4,
+               abs(p - expect_p))
+
+
 def cmd_verify(args) -> int:
     """Cross-check every closed form against the brute-force routes.
 
@@ -253,97 +296,44 @@ def cmd_verify(args) -> int:
     are reported as WARNING sections with both values and do not affect
     the exit status.
     """
-    from .oracle import catalyze_oracle, cf_fidelity_oracle
+    grid = VERIFY_GRIDS[args.grid]
+    points = list(itertools.product(grid["r"], grid["T"], grid["T"]))
+    table = np.array([_grid_residuals(make_params(*p)) for p in points])
+    worst = table.max(axis=0)
+    identity = max(_identity_residual(r) for r in np.arange(0.05, 1.501, 0.05))
+    twin_fock = max(_twin_fock_residual(r, T2)
+                    for r in (0.2, 0.5, 1.0) for T2 in (0.0, 0.3, 0.8))
+    # Each hard check: its label, the bound on its maxima, and the name
+    # each maximum prints under.
+    checks = (
+        ("spectrum vs circuit oracle", 1e-10,
+         {"max|dw|": worst[0], "max|dp|": worst[1]}),
+        ("closed forms vs spectrum sums", 1e-10,
+         {"max rel dp": worst[2], "max|dEPR|": worst[3], "max|dF|": worst[4]}),
+        ("printed p_cd polynomial", 1e-10, {"max rel diff": worst[5]}),
+        ("identity line T1 = T2 = 1", 1e-12, {"scaled worst": identity}),
+        ("twin-Fock line T1 = 0", 1e-12, {"scaled worst": twin_fock}),
+    )
+    # The published polynomials known to disagree with the exact spectrum:
+    # their residual column, the warning, and what the gap is between.
+    warnings = (
+        (6, "published fidelity polynomial disagrees with the CF quadrature "
+            "(it does not reduce to (1+tanh r)/2 at T = 1):", "printed - quadrature"),
+        (7, "published EPR second-moment polynomials disagree with the exact "
+            "spectrum (printed <a+a> can even go negative):", "printed - spectrum"),
+    )
 
-    spec_grid = VERIFY_GRIDS[args.grid]
     out = []
     failures = 0
-
-    max_dw = max_dp = max_rel_pcd = 0.0
-    max_form = [0.0, 0.0, 0.0]  # rel. p_cd, abs. EPR, abs. fidelity
-    max_depr = (0.0, None)
-    max_dfid = (0.0, None)
-    for r in spec_grid["r"]:
-        for T1 in spec_grid["T"]:
-            for T2 in spec_grid["T"]:
-                params = make_params(r, T1, T2)
-                spec_c, p_c = closed_spectrum(params)
-                spec_o, p_o = catalyze_oracle(params)
-                n = min(len(spec_c.weights), len(spec_o.weights))
-                max_dw = max(max_dw, float(np.max(np.abs(
-                    spec_c.weights[:n] - spec_o.weights[:n]))))
-                max_dp = max(max_dp, abs(p_c - p_o))
-                max_rel_pcd = max(max_rel_pcd, abs(
-                    published_success_probability(params) - p_c) / p_c)
-                d_epr = abs(epr_closed(params) - epr_of(spec_o))
-                if d_epr > max_depr[0]:
-                    max_depr = (d_epr, (r, T1, T2))
-                fid_q = cf_fidelity_oracle(spec_c)
-                d_fid = abs(fidelity_closed(params) - fid_q)
-                if d_fid > max_dfid[0]:
-                    max_dfid = (d_fid, (r, T1, T2))
-                p_f, epr_f, fid_f = closed_measures(r, T1, T2)
-                for k, diff in enumerate((abs(p_f - p_c) / p_c,
-                                          abs(epr_f - epr_of(spec_c)),
-                                          abs(fid_f - fid_q))):
-                    max_form[k] = max(max_form[k], diff)
-    ok = max_dw < 1e-10 and max_dp < 1e-10
-    failures += not ok
-    out.append(f"spectrum vs circuit oracle       "
-               f"{'PASS' if ok else 'FAIL'}  "
-               f"max|dw| = {max_dw:.3e}  max|dp| = {max_dp:.3e}")
-    ok = max(max_form) < 1e-10
-    failures += not ok
-    out.append(f"closed forms vs spectrum sums    "
-               f"{'PASS' if ok else 'FAIL'}  max rel dp = {max_form[0]:.3e}  "
-               f"max|dEPR| = {max_form[1]:.3e}  max|dF| = {max_form[2]:.3e}")
-    ok = max_rel_pcd < 1e-10
-    failures += not ok
-    out.append(f"printed p_cd polynomial          "
-               f"{'PASS' if ok else 'FAIL'}  max rel diff = {max_rel_pcd:.3e}")
-
-    worst = 0.0
-    for r in np.arange(0.05, 1.501, 0.05):
-        rep = report(make_params(r, 1.0, 1.0))
-        worst = max(
-            worst,
-            abs(rep.p_cd - 1.0),
-            abs(rep.entropy_delta) / 1e2,
-            abs(rep.epr_delta) / 1e2,
-            abs(rep.fidelity_delta) / 1e4,
-        )
-    ok = worst < 1e-12
-    failures += not ok
-    out.append(f"identity line T1 = T2 = 1        "
-               f"{'PASS' if ok else 'FAIL'}  scaled worst = {worst:.3e}")
-
-    worst = 0.0
-    for r in (0.2, 0.5, 1.0):
-        for T2 in (0.0, 0.3, 0.8):
-            params = make_params(r, 0.0, T2)
-            spec, p = closed_spectrum(params)
-            expect_p = (1 - 2 * T2) ** 2 * math.tanh(r) ** 2 / math.cosh(r) ** 2
-            worst = max(
-                worst,
-                abs(abs(spec.weights[1]) - 1.0),
-                abs(entropy_of(spec)),
-                abs(epr_of(spec) - 6.0),
-                abs(cf_fidelity_oracle(spec) - 0.25) / 1e4,
-                abs(p - expect_p),
-            )
-    ok = worst < 1e-12
-    failures += not ok
-    out.append(f"twin-Fock line T1 = 0            "
-               f"{'PASS' if ok else 'FAIL'}  scaled worst = {worst:.3e}")
-
-    d, at = max_dfid
-    out.append("WARNING published fidelity polynomial disagrees with the CF "
-               "quadrature (it does not reduce to (1+tanh r)/2 at T = 1):")
-    out.append(f"  max |printed - quadrature| = {d:.6e} at (r, T1, T2) = {at}")
-    d, at = max_depr
-    out.append("WARNING published EPR second-moment polynomials disagree with "
-               "the exact spectrum (printed <a+a> can even go negative):")
-    out.append(f"  max |printed - spectrum| = {d:.6e} at (r, T1, T2) = {at}")
+    for label, bound, maxima in checks:
+        ok = all(m < bound for m in maxima.values())
+        failures += not ok
+        out.append(f"{label:<33}{'PASS' if ok else 'FAIL'}  "
+                   + "  ".join(f"{n} = {m:.3e}" for n, m in maxima.items()))
+    for column, warning, gap in warnings:
+        k = int(np.argmax(table[:, column]))
+        out.append(f"WARNING {warning}")
+        out.append(f"  max |{gap}| = {table[k, column]:.6e} at (r, T1, T2) = {points[k]}")
 
     status = "PASS" if failures == 0 else "FAIL"
     out.append(f"VERIFY: {status} ({failures} hard failures, 2 documented warnings)")
@@ -375,13 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None,
                    help="symmetric transmittance (sets both T1 and T2)")
     p.add_argument("--engine", choices=("closed_form", "oracle", "both"),
-                   default="closed_form")
+                   default="closed_form",
+                   help="closed_form sums the fidelity exactly; oracle "
+                        "simulates the circuit and takes the fidelity by "
+                        "a fixed 120-node CF quadrature, checked at 240")
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS,
-                   help="Gauss-Laguerre nodes for the CF-quadrature fidelity "
-                        "of the oracle engine (--engine oracle|both), 2 to "
-                        f"{MAX_QUAD_POINTS}; the closed-form engine sums the "
-                        "fidelity exactly")
     _add_common(p)
     p.set_defaults(func=cmd_measure)
 

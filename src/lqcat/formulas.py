@@ -22,7 +22,7 @@ from .model import (
     ENTROPY_CLASSES,
     NORM_FLOOR,
     CatalysisParams,
-    DegeneratePostselectionError,
+    check_norm,
     choose_truncation,
     entropy_bits,
     make_params,
@@ -156,17 +156,12 @@ def success_probability(params: CatalysisParams) -> float:
 
     The squared norm of the closed-form weights, summed over all n by
     closed_measures: a sum of non-negative terms with no cancellation.
-    Raises DegeneratePostselectionError where p_cd <= NORM_FLOOR.  The
-    printed polynomial (published_success_probability) agrees
-    mathematically but loses up to ~4e-12 relative accuracy at large r.
+    Raises DegeneratePostselectionError, by model.check_norm, where p_cd
+    is not above NORM_FLOOR.  The printed polynomial
+    (published_success_probability) agrees mathematically but loses up
+    to ~4e-12 relative accuracy at large r.
     """
-    p_cd = closed_measures(params.r, params.T1, params.T2)[0]
-    if not p_cd > NORM_FLOOR:
-        raise DegeneratePostselectionError(
-            f"heralding probability {p_cd} at (r, T1, T2) = ({params.r}, "
-            f"{params.T1}, {params.T2}) is not above {NORM_FLOOR}"
-        )
-    return p_cd
+    return check_norm(closed_measures(params.r, params.T1, params.T2)[0])
 
 
 def published_success_probability(params: CatalysisParams) -> float:
@@ -411,25 +406,23 @@ def state_coefficients(params: CatalysisParams) -> StateCoefficients:
     return StateCoefficients(c0=c0, c1=c1, c2=c2, lam=params.lam)
 
 
-def mean_photon_a(params: CatalysisParams, p_cd: float | None = None) -> float:
+def mean_photon_a(params: CatalysisParams) -> float:
     """<a+a> from the published degree-9 polynomial."""
-    if p_cd is None:
-        p_cd = success_probability(params)
+    p_cd = success_probability(params)
     u = math.tanh(params.r)
     M = math.cosh(params.lam) ** 12 * u / (p_cd * math.cosh(params.r) ** 2)
     return M * _poly_in_u(X_TABLE, params.t1, params.t2, u)
 
 
-def mean_photon_b(params: CatalysisParams, p_cd: float | None = None) -> float:
+def mean_photon_b(params: CatalysisParams) -> float:
     """<b+b> from the published degree-9 polynomial."""
     # The paper's Y table is its X table with t1 <-> t2.
-    return mean_photon_a(params.swapped(), p_cd)
+    return mean_photon_a(params.swapped())
 
 
-def pair_correlation(params: CatalysisParams, p_cd: float | None = None) -> float:
+def pair_correlation(params: CatalysisParams) -> float:
     """<ab> = <a+b+> from the published degree-8 polynomial."""
-    if p_cd is None:
-        p_cd = success_probability(params)
+    p_cd = success_probability(params)
     u = math.tanh(params.r)
     N = (
         math.cosh(params.lam) ** 12
@@ -451,10 +444,9 @@ def epr_closed(params: CatalysisParams) -> float:
     spectrum is authoritative everywhere downstream; see the test suite
     for the measured discrepancy.
     """
-    p_cd = success_probability(params)
-    na = mean_photon_a(params, p_cd)
-    nb = mean_photon_b(params, p_cd)
-    nab = pair_correlation(params, p_cd)
+    na = mean_photon_a(params)
+    nb = mean_photon_b(params)
+    nab = pair_correlation(params)
     return 2.0 * (1.0 + na + nb - 2.0 * nab)
 
 

@@ -24,11 +24,6 @@ MAX_TRUNCATION = 2048
 # Tail target of the truncation: a dropped squared weight eps moves the
 # entropy by about eps log2(1/eps), some 50 eps at this target.
 ENTROPY_EPS_TRUNC = 1e-16
-# Gauss-Laguerre nodes of the CF-quadrature fidelity (lqcat.oracle).  The
-# convergence check doubles the count, and the rule's weights overflow
-# from 364 nodes on.
-DEFAULT_QUAD_POINTS = 120
-MAX_QUAD_POINTS = 181
 # Largest squeezing: from the next float on, sinh(r)^2 and cosh(r)^2
 # overflow.
 R_MAX = math.asinh(math.sqrt(sys.float_info.max))
@@ -96,18 +91,25 @@ class SchmidtSpectrum:
 
     def __post_init__(self):
         total = float(np.sum(self.weights**2))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"spectrum not normalized: sum of squares = {total}")
+
+
+def check_norm(norm2: float) -> float:
+    """norm2, the squared norm of a heralded state, if it is above
+    NORM_FLOOR; otherwise, NaN included, raises
+    DegeneratePostselectionError."""
+    if not norm2 > NORM_FLOOR:
+        raise DegeneratePostselectionError(
+            f"postselection norm {norm2} below {NORM_FLOOR}; state is not normalizable"
+        )
+    return norm2
 
 
 def normalize_weights(unnormalized: np.ndarray):
     """Normalize raw weights; returns (SchmidtSpectrum, squared norm)."""
     w = np.asarray(unnormalized, dtype=float)
-    norm2 = float(np.sum(w**2))
-    if norm2 < NORM_FLOOR:
-        raise DegeneratePostselectionError(
-            f"postselection norm {norm2} below {NORM_FLOOR}; state is not normalizable"
-        )
+    norm2 = check_norm(float(np.sum(w**2)))
     return SchmidtSpectrum(w / math.sqrt(norm2)), norm2
 
 

@@ -9,12 +9,7 @@ from .formulas import (
     tmsvs_epr,
     tmsvs_fidelity,
 )
-from .model import (
-    NORM_FLOOR,
-    CatalysisParams,
-    DegeneratePostselectionError,
-    MeasureReport,
-)
+from .model import CatalysisParams, MeasureReport, check_norm
 
 
 def report(params: CatalysisParams) -> MeasureReport:
@@ -30,10 +25,7 @@ def report(params: CatalysisParams) -> MeasureReport:
     docstrings).
     """
     p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
-    if not p_cd > NORM_FLOOR:
-        raise DegeneratePostselectionError(
-            f"postselection norm {p_cd} below {NORM_FLOOR}; state is not normalizable"
-        )
+    check_norm(p_cd)
     entropy = float(closed_entropy(params.r, params.T1, params.T2))
     return _with_baselines(params, p_cd, entropy, epr, fidelity)
 

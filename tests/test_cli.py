@@ -1,7 +1,6 @@
 """Command-line interface tests: formats, exit codes and determinism."""
 
 import json
-import math
 import os
 import shlex
 import subprocess
@@ -13,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqcat import oracle
+from lqcat import cli, oracle
 from lqcat.cli import build_parser, main
+from lqcat.model import normalize_weights
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,18 +98,6 @@ class TestMeasure:
         code, out, _ = run(capsys, "measure", "--r", "20", "--t", "0.3")
         assert code == 0
         assert out.splitlines()[3].split()[::4] == ["entropy", "no"]
-
-    def test_quad_points_bound(self, capsys):
-        # The check doubles 181 to 362 nodes; the rule's weights overflow
-        # from 364 on, and at 400 the fidelity printed nan with exit 0.
-        argv = ("measure", "--r", "0.5", "--t", "0.5", "--engine", "oracle")
-        code, out, _ = run(capsys, *argv, "--quad-points", "181", "--json")
-        assert code == 0
-        assert math.isfinite(json.loads(out)["measures"]["fidelity"]["value"])
-        for count in ("182", "200"):
-            code, _, err = run(capsys, *argv, "--quad-points", count)
-            assert code == 2
-            assert "quad_points must be <= 181" in err
 
     def test_nan_quadrature_exits_3(self, capsys, monkeypatch):
         # NaN fails the convergence check, as a difference above tolerance does.
@@ -295,4 +283,40 @@ class TestVerify:
         assert out.count("WARNING") == 2
         assert "VERIFY: PASS" in out
         assert "spectrum vs circuit oracle       PASS" in out
+
+    @staticmethod
+    def _perturbed_oracle_weights(monkeypatch):
+        catalyze = oracle.catalyze_oracle
+
+        def perturbed(params):
+            spectrum, p_cd = catalyze(params)
+            return normalize_weights(spectrum.weights + 1e-9)[0], p_cd
+        monkeypatch.setattr(oracle, "catalyze_oracle", perturbed)
+        return "spectrum vs circuit oracle"
+
+    @staticmethod
+    def _shifted_closed_fidelity(monkeypatch):
+        closed = cli.closed_measures
+
+        def shifted(r, T1, T2):
+            p_cd, epr, fidelity = closed(r, T1, T2)
+            return p_cd, epr, fidelity + 1e-9
+        monkeypatch.setattr(cli, "closed_measures", shifted)
+        return "closed forms vs spectrum sums"
+
+    @pytest.mark.parametrize("perturb", ["_perturbed_oracle_weights",
+                                         "_shifted_closed_fidelity"])
+    def test_one_perturbed_route_fails_one_check(self, capsys, monkeypatch,
+                                                 perturb):
+        # An error of 1e-9 in one route is ten times the hard tolerance:
+        # exactly its own check fails, and the other four still pass.
+        failing = getattr(self, perturb)(monkeypatch)
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        lines = out.splitlines()
+        checks = [line for line in lines if "  PASS  " in line or "  FAIL  " in line]
+        assert len(checks) == 5
+        for line in checks:
+            assert ("  FAIL  " in line) == line.startswith(failing), line
+        assert lines[-1] == "VERIFY: FAIL (1 hard failures, 2 documented warnings)"
 

@@ -11,11 +11,13 @@ from lqcat.model import (
     ENTROPY_CLASSES,
     ENTROPY_EPS_TRUNC,
     MAX_TRUNCATION,
+    NORM_FLOOR,
     Q_CAP,
     R_MAX,
     DegeneratePostselectionError,
     ParameterError,
     SchmidtSpectrum,
+    check_norm,
     choose_truncation,
     entropy_of,
     epr_of,
@@ -73,6 +75,30 @@ class TestSpectrum:
     def test_degenerate_norm(self):
         with pytest.raises(DegeneratePostselectionError):
             normalize_weights(np.zeros(4))
+
+    def test_non_finite_weights_raise(self):
+        # A NaN passed both comparisons: [nan, 1] gave a NaN spectrum with
+        # norm nan, and [inf] the spectrum [nan].  Now a NaN norm fails the
+        # floor, and an infinite one divides to NaN weights, which fail
+        # the normalization check.
+        for weights in ([math.nan, 1.0], [math.inf], [-math.inf, 1.0]):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    (ValueError, DegeneratePostselectionError)):
+                normalize_weights(np.array(weights))
+        with pytest.raises(ValueError):
+            SchmidtSpectrum(np.array([math.nan]))
+
+    def test_norm_floor_is_one_boundary(self):
+        # normalize_weights accepted a squared norm of exactly NORM_FLOOR,
+        # which report and success_probability rejected.
+        for norm2 in (math.nan, -math.inf, 0.0, NORM_FLOOR):
+            with pytest.raises(DegeneratePostselectionError):
+                check_norm(norm2)
+        assert check_norm(math.nextafter(NORM_FLOOR, 1.0)) > NORM_FLOOR
+        w = np.array([math.sqrt(NORM_FLOOR)])
+        assert float(np.sum(w**2)) == NORM_FLOOR
+        with pytest.raises(DegeneratePostselectionError):
+            normalize_weights(w)
 
     def test_signs_preserved(self):
         spec, _ = normalize_weights(np.array([1.0, -1.0]))

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import expm
 
-from lqcat.formulas import closed_spectrum, tmsvs_fidelity
+from lqcat.formulas import closed_measures, closed_spectrum, tmsvs_fidelity
 from lqcat.model import ParameterError, make_params, normalize_weights
 from lqcat.oracle import (
+    QUAD_POINTS,
     _catalysis_factors,
     _sector_states,
+    _table_for,
     bs_sector,
     catalyze_oracle,
     cf_fidelity_oracle,
@@ -241,10 +243,15 @@ class TestFidelityQuadrature:
         cartesian = _cartesian_fidelity(spec.weights)
         assert radial == pytest.approx(cartesian, abs=1e-6)
 
-    def test_node_count_validation(self):
-        spec, _ = normalize_weights(np.array([1.0]))
-        with pytest.raises(ValueError):
-            cf_fidelity_oracle(spec, quad_points=1)
-        # Twice 182 nodes overflow the Gauss-Laguerre weights.
-        with pytest.raises(ValueError):
-            cf_fidelity_oracle(spec, quad_points=182)
+    def test_fixed_rule_at_a_large_class(self):
+        # N = 480: the rule's two node counts agree far inside the check's
+        # 1e-9, and the quadrature meets the truncation-free closed form.
+        params = make_params(2.0, 0.9, 0.95)
+        spec, _ = closed_spectrum(params)
+        w = spec.weights
+        N = len(w) - 1
+        assert N == 480
+        f1, f2 = (w @ _table_for(N, q)[: N + 1, : N + 1] @ w
+                  for q in (QUAD_POINTS, 2 * QUAD_POINTS))
+        assert abs(f2 - f1) < 1e-13
+        assert abs(cf_fidelity_oracle(spec) - closed_measures(2.0, 0.9, 0.95)[2]) < 1e-12
