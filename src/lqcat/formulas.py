@@ -179,6 +179,21 @@ def published_success_probability(params: CatalysisParams) -> float:
     return p0 * acc
 
 
+def _index_arrays(N: int) -> tuple:
+    """n, n + 1 and max(n - 1, 0) for n = 0..N as read-only floats
+    (exact, so no call casts them)."""
+    n = np.arange(N + 1.0)
+    arrays = (n, n + 1.0, np.maximum(n - 1.0, 0.0))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# Built once, for the N of every truncation class; any other N builds its
+# own per call, so the table stays this size.
+_CLASS_INDEX = {N: _index_arrays(N) for N, _ in ENTROPY_CLASSES}
+
+
 def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
     """Unnormalized weights w~_0 .. w~_N, broadcast over T1 and T2.
 
@@ -188,20 +203,30 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
     broadcast(T1, T2) + (N + 1,); each factor is built on its own shape,
     so a grid pays for the powers once per axis, not once per cell, and
     a symmetric row (T2 is T1) builds its one factor once.
+
+    A class N takes its constants n, n + 1 and max(n - 1, 0) from
+    _CLASS_INDEX.  A float T is a point: its factor takes
+    t = math.sqrt(T), correctly rounded like np.sqrt, and is built once
+    when T2 equals T1.  Every path does the same operations in the same
+    order, so a point's weights are its broadcast cell's bit for bit.
     """
-    n = np.arange(N + 1)
-    n1 = n + 1
-    power = np.maximum(n - 1, 0)
+    n, n1, power = _CLASS_INDEX.get(N) or _index_arrays(N)
 
     def factor(T):
-        T = np.asarray(T, dtype=float)[..., None]
-        t = np.sqrt(T)
+        if isinstance(T, float):
+            t = math.sqrt(T)
+        else:
+            T = np.asarray(T, dtype=float)[..., None]
+            t = np.sqrt(T)
         g = (n1 * T - n) * t**power
-        g[..., 0] = t[..., 0]
+        g[..., :1] = t
         return g
 
     g1 = factor(T1)
-    g2 = g1 if T2 is T1 else factor(T2)
+    # A float T2 equal to T1 shares its factor, but not at zero, where
+    # -0.0 == 0.0 and the two factors' zeros differ in sign.
+    point_twin = isinstance(T1, float) and isinstance(T2, float) and T2 == T1 != 0.0
+    g2 = g1 if T2 is T1 or point_twin else factor(T2)
     return math.tanh(r) ** n / math.cosh(r) * g1 * g2
 
 
@@ -218,17 +243,18 @@ def closed_spectrum(params: CatalysisParams):
 def closed_entropy(r: float, T1, T2):
     """Entanglement entropy in bits, broadcast over T1 and T2.
 
-    The entropy is the one measure summed over a truncated spectrum, and
-    rows, sweeps and report all take it from here.  Each index along the
-    first axis is truncated at the N that choose_truncation gives for its
-    largest q = t1 t2 tanh r over the remaining axes: a grid row of T1
+    The entropy is the one measure summed over a truncated spectrum.
+    Rows and sweeps take it from here, and report from the per-N kernel
+    _entropy at the N this function gives its point.  Each index along
+    the first axis is truncated at the N that choose_truncation gives for
+    its largest q = t1 t2 tanh r over the remaining axes: a grid row of T1
     against all of T2 is one unit, and a cell of a symmetric row is its
     own.  So a cell's N depends on its own row only, never on the block
     or the row it is evaluated with.  closed_weights runs once per class
     present, on the class's rows of T1 and T2, so a grid still builds its
     powers per axis and a row whose cells share one class costs one call.
 
-    r is a scalar; floats give a 0-d array.  Where the weights' squared
+    r is a scalar; floats give a scalar.  Where the weights' squared
     norm is not above NORM_FLOOR the entropy is NaN.  Raises
     ParameterError where choose_truncation does at the largest T1 and T2.
     """
@@ -260,9 +286,21 @@ def closed_entropy(r: float, T1, T2):
 
 
 def _entropy(r: float, T1, T2, N: int):
-    """closed_entropy with every cell truncated at N."""
+    """closed_entropy with every cell truncated at N.
+
+    closed_entropy calls it once per class present, and report once at
+    N = choose_truncation(params), skipping the class machinery.  A
+    point's probabilities are 1-D and are normalized in place in one
+    pass; both branches divide by the same norm, so a point's entropy is
+    its cell's in a row or grid of the same N bit for bit.
+    """
     p = np.square(closed_weights(r, T1, T2, N))
     norm2 = p.sum(axis=-1)
+    if p.ndim == 1:
+        if not norm2 > NORM_FLOOR:
+            return math.nan
+        p /= norm2
+        return entropy_bits(p)
     resolvable = norm2 > NORM_FLOOR
     p /= np.where(resolvable, norm2, 1.0)[..., None]
     return np.where(resolvable, entropy_bits(p), np.nan)
@@ -371,7 +409,8 @@ def closed_measures(r: float, T1, T2):
         0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q, 4)))
 
     p_cd = norm / math.cosh(r) ** 2
-    if np.ndim(p_cd) == 0:
+    # Arithmetic on floats, numpy scalars or 0-d arrays gives a scalar.
+    if not isinstance(p_cd, np.ndarray):
         if not p_cd > NORM_FLOOR:
             return p_cd, math.nan, math.nan
         return p_cd, 2.0 * spread / norm, overlap / (2.0 * norm)

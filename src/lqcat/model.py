@@ -96,20 +96,28 @@ class SchmidtSpectrum:
 
 
 def check_norm(norm2: float) -> float:
-    """norm2, the squared norm of a heralded state, if it is above
-    NORM_FLOOR; otherwise, NaN included, raises
+    """norm2, the squared norm of a heralded state, if it is finite and
+    above NORM_FLOOR; otherwise, NaN and inf included, raises
     DegeneratePostselectionError."""
-    if not norm2 > NORM_FLOOR:
+    if not NORM_FLOOR < norm2 < math.inf:
+        reason = f"below {NORM_FLOOR}" if norm2 <= NORM_FLOOR else "is not finite"
         raise DegeneratePostselectionError(
-            f"postselection norm {norm2} below {NORM_FLOOR}; state is not normalizable"
+            f"postselection norm {norm2} {reason}; state is not normalizable"
         )
     return norm2
 
 
 def normalize_weights(unnormalized: np.ndarray):
-    """Normalize raw weights; returns (SchmidtSpectrum, squared norm)."""
+    """Normalize raw weights; returns (SchmidtSpectrum, squared norm).
+
+    Raises DegeneratePostselectionError where the squared norm is not
+    finite and above NORM_FLOOR; a sum of squares that overflows is inf,
+    and raises so, without a RuntimeWarning.
+    """
     w = np.asarray(unnormalized, dtype=float)
-    norm2 = check_norm(float(np.sum(w**2)))
+    with np.errstate(over="ignore"):
+        norm2 = float(np.sum(w**2))
+    check_norm(norm2)
     return SchmidtSpectrum(w / math.sqrt(norm2)), norm2
 
 

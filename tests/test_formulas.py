@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from lqcat import formulas
 from lqcat.formulas import (
     closed_measures,
     closed_spectrum,
@@ -26,6 +27,7 @@ from lqcat.formulas import (
     tmsvs_fidelity,
 )
 from lqcat.model import (
+    ENTROPY_CLASSES,
     NORM_FLOOR,
     DegeneratePostselectionError,
     entropy_of,
@@ -206,6 +208,54 @@ class TestSchmidtWeights:
             for j, b in enumerate(T2):
                 scalar = closed_weights(0.4, a, b, 12)
                 assert np.array_equal(batch[i, j], scalar)
+
+    @pytest.mark.parametrize("N", [7, 12, 500])
+    def test_terms_match_the_formula(self, N):
+        # w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), g_0(T) = t and
+        # g_n(T) = ((n+1) T - n) t^(n-1), in Python floats term by term.
+        # N = 7, 12 and 500 are no truncation class, so they take the
+        # per-call constants; scalar and array T take their own paths.
+        def g(n, T):
+            t = math.sqrt(T)
+            return t if n == 0 else ((n + 1) * T - n) * t ** (n - 1)
+
+        for r, T1, T2 in ((0.7, 0.3, 0.8), (1.9, 2 / 3, 1.0), (2.3, 0.999, 0.9),
+                          (0.4, 0.5, 0.5), (1.0, 0.0, 0.3), (0.0, 0.6, 0.6)):
+            u, ch = math.tanh(r), math.cosh(r)
+            expected = np.array([u**n / ch * g(n, T1) * g(n, T2)
+                                 for n in range(N + 1)])
+            for got in (closed_weights(r, T1, T2, N),
+                        closed_weights(r, np.array([T1]), np.array(T2), N)[0]):
+                assert got.shape == (N + 1,)
+                # numpy's pow may differ from libm's in the last bit;
+                # exact zeros (T = 1/2, 2/3 or 0) stay exact.
+                np.testing.assert_allclose(got, expected, rtol=2e-15, atol=1e-300)
+                assert np.array_equal(got == 0.0, expected == 0.0)
+
+    def test_returned_weights_are_the_callers(self):
+        # The per-N constants are shared and read-only; a returned array
+        # is fresh, so writing into it changes no later result.
+        for N in (30, 60, 2048, 7):
+            for T1, T2 in ((0.3, 0.8), (0.4, 0.4), (np.array([0.2, 0.9]), 0.5)):
+                first = closed_weights(1.2, T1, T2, N)
+                expected = first.copy()
+                first[...] = 99.0
+                assert np.array_equal(closed_weights(1.2, T1, T2, N), expected)
+        assert len(formulas._CLASS_INDEX) == len(ENTROPY_CLASSES)
+        for arrays in formulas._CLASS_INDEX.values():
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_point_factor_is_the_array_factor(self):
+        # A float T builds its factor from math.sqrt, an array T from
+        # np.sqrt; equal T2 = T1 shares one factor, except at a signed
+        # zero.  All give the broadcast call's cell bit for bit.
+        T = np.array([-0.0, 0.0, 1e-300, 0.25, 0.5, 2 / 3, 0.999, 1.0])
+        for N in (30, 480):
+            grid = closed_weights(1.7, T[:, None], T, N)
+            for i, a in enumerate(T.tolist()):
+                for j, b in enumerate(T.tolist()):
+                    point = closed_weights(1.7, a, b, N)
+                    assert point.tobytes() == grid[i, j].tobytes(), (a, b)
 
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)

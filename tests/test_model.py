@@ -76,15 +76,19 @@ class TestSpectrum:
         with pytest.raises(DegeneratePostselectionError):
             normalize_weights(np.zeros(4))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_weights_raise(self):
-        # A NaN passed both comparisons: [nan, 1] gave a NaN spectrum with
-        # norm nan, and [inf] the spectrum [nan].  Now a NaN norm fails the
-        # floor, and an infinite one divides to NaN weights, which fail
-        # the normalization check.
-        for weights in ([math.nan, 1.0], [math.inf], [-math.inf, 1.0]):
-            with np.errstate(invalid="ignore"), pytest.raises(
-                    (ValueError, DegeneratePostselectionError)):
+        # A NaN or infinite squared norm is not a norm: [inf] used to divide
+        # to the spectrum [nan] with an "invalid value" warning, and [1e200]
+        # overflowed in the square to [0].  Each now raises the typed error
+        # that names the norm, with no RuntimeWarning.
+        for weights in ([math.nan, 1.0], [math.inf], [-math.inf, 1.0],
+                        [1e200], [1e160] * 1000):
+            with pytest.raises(DegeneratePostselectionError, match="not finite"):
                 normalize_weights(np.array(weights))
+        for norm2 in (math.nan, math.inf):
+            with pytest.raises(DegeneratePostselectionError, match="not finite"):
+                check_norm(norm2)
         with pytest.raises(ValueError):
             SchmidtSpectrum(np.array([math.nan]))
 

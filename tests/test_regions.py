@@ -11,10 +11,14 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lqcat import regions
+from lqcat.formulas import closed_entropy
 from lqcat.model import (
+    ENTROPY_CLASSES,
+    MAX_TRUNCATION,
     NORM_FLOOR,
     DegeneratePostselectionError,
     ParameterError,
+    choose_truncation,
     make_params,
 )
 from lqcat.regions import (
@@ -81,6 +85,67 @@ class TestSymmetricRow:
             row = symmetric_row(r, T).entropy
             for j, t in enumerate(T.tolist()):
                 assert report(make_params(r, t, t)).entropy == row[j], (r, t)
+
+    def test_report_entropy_at_each_class(self):
+        # One point per truncation class on the T = 1 line, q = tanh r
+        # between the class's limit and the one below, and its row holds
+        # T = 1/2 and 2/3, where a weight is exactly zero.  (2.4, 1, 1)
+        # reaches the cap N = 2048.
+        T = np.array([0.1, 0.5, 2 / 3, 0.9, 1.0])
+        low = 0.0
+        for N, limit in ENTROPY_CLASSES:
+            r = math.atanh(0.5 * (low + limit))
+            low = limit
+            assert choose_truncation(make_params(r, 1.0, 1.0)) == N
+            row = symmetric_row(r, T).entropy
+            for j, t in enumerate(T.tolist()):
+                assert report(make_params(r, t, t)).entropy == row[j], (N, t)
+        assert choose_truncation(make_params(2.4, 1.0, 1.0)) == MAX_TRUNCATION
+        assert report(make_params(2.4, 1.0, 1.0)).entropy == symmetric_row(
+            2.4, np.array([1.0])).entropy[0]
+
+    def test_report_entropy_where_the_state_vanishes(self):
+        # At T1 = 0 only w_1 = -tanh(r) g_1(T2) / cosh(r) survives, and
+        # g_1(1/2) = 0: the point has no state.  Its grid cell is NaN and
+        # report raises.  At T2 = 0.3 the one weight left gives 0 bits.
+        grid = sweep("entropy", [1.0], [0.0], [0.3, 0.5]).raw[0, 0]
+        assert grid[0] == report(make_params(1.0, 0.0, 0.3)).entropy == 0.0
+        assert math.isnan(grid[1])
+        with pytest.raises(DegeneratePostselectionError):
+            report(make_params(1.0, 0.0, 0.5))
+        with pytest.raises(DegeneratePostselectionError):
+            report(make_params(0.0, 0.0, 0.0))
+        assert math.isnan(closed_entropy(0.0, 0.0, 0.0))
+
+    def test_report_entropy_is_the_grid_cell(self):
+        # A grid row of T1 against all of T2 takes the class of its
+        # largest T2, and report the class of its own point.  Where the two
+        # classes are one, the cell is report's entropy bit for bit;
+        # where the row's is larger, the cell keeps more terms and stays
+        # within 1e-14 of it.
+        rng = np.random.default_rng(14)
+        r_axis = np.sort(rng.uniform(0.0, 2.3, 16))
+        T = np.unique(np.concatenate([rng.uniform(0.0, 1.0, 9),
+                                      [0.0, 0.5, 2 / 3, 1.0]]))
+        cells = sweep("entropy", r_axis, T, T).raw
+        same = larger = 0
+        for i, r in enumerate(r_axis.tolist()):
+            for j, a in enumerate(T.tolist()):
+                row_N = choose_truncation(make_params(r, a, T[-1]))
+                for k, b in enumerate(T.tolist()):
+                    params = make_params(r, a, b)
+                    if math.isnan(cells[i, j, k]):
+                        with pytest.raises(DegeneratePostselectionError):
+                            report(params)
+                        continue
+                    entropy = report(params).entropy
+                    if choose_truncation(params) == row_N:
+                        same += 1
+                        assert entropy == cells[i, j, k], (r, a, b)
+                    else:
+                        larger += 1
+                        assert abs(entropy - cells[i, j, k]) <= 1e-14, (r, a, b)
+        assert same and larger
 
     def test_identity_line_has_no_enhancement(self):
         for r in (0.1, 0.5, 1.0, 1.8):
