@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,6 +180,9 @@ def published_success_probability(params: CatalysisParams) -> float:
     return p0 * acc
 
 
+# Room for the 8 truncation classes and a few other N: each entry holds
+# 3 x (N + 1) doubles, about 140 kB for all classes.
+@lru_cache(maxsize=16)
 def _index_arrays(N: int) -> tuple:
     """n, n + 1 and max(n - 1, 0) for n = 0..N as read-only floats
     (exact, so no call casts them)."""
@@ -187,11 +191,6 @@ def _index_arrays(N: int) -> tuple:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-# Built once, for the N of every truncation class; any other N builds its
-# own per call, so the table stays this size.
-_CLASS_INDEX = {N: _index_arrays(N) for N, _ in ENTROPY_CLASSES}
 
 
 def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
@@ -204,13 +203,13 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
     so a grid pays for the powers once per axis, not once per cell, and
     a symmetric row (T2 is T1) builds its one factor once.
 
-    A class N takes its constants n, n + 1 and max(n - 1, 0) from
-    _CLASS_INDEX.  A float T is a point: its factor takes
-    t = math.sqrt(T), correctly rounded like np.sqrt, and is built once
-    when T2 equals T1.  Every path does the same operations in the same
-    order, so a point's weights are its broadcast cell's bit for bit.
+    The per-N constants n, n + 1 and max(n - 1, 0) are built once per N
+    and cached.  A float T is a point: its factor takes
+    t = math.sqrt(T), correctly rounded like np.sqrt, with no array
+    conversion.  Every path does the same operations in the same order,
+    so a point's weights are its broadcast cell's bit for bit.
     """
-    n, n1, power = _CLASS_INDEX.get(N) or _index_arrays(N)
+    n, n1, power = _index_arrays(N)
 
     def factor(T):
         if isinstance(T, float):
@@ -223,10 +222,7 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
         return g
 
     g1 = factor(T1)
-    # A float T2 equal to T1 shares its factor, but not at zero, where
-    # -0.0 == 0.0 and the two factors' zeros differ in sign.
-    point_twin = isinstance(T1, float) and isinstance(T2, float) and T2 == T1 != 0.0
-    g2 = g1 if T2 is T1 or point_twin else factor(T2)
+    g2 = g1 if T2 is T1 else factor(T2)
     return math.tanh(r) ** n / math.cosh(r) * g1 * g2
 
 
@@ -254,7 +250,7 @@ def closed_entropy(r: float, T1, T2):
     present, on the class's rows of T1 and T2, so a grid still builds its
     powers per axis and a row whose cells share one class costs one call.
 
-    r is a scalar; floats give a scalar.  Where the weights' squared
+    r is a scalar; floats give a numpy float64.  Where the weights' squared
     norm is not above NORM_FLOOR the entropy is NaN.  Raises
     ParameterError where choose_truncation does at the largest T1 and T2.
     """
@@ -298,7 +294,7 @@ def _entropy(r: float, T1, T2, N: int):
     norm2 = p.sum(axis=-1)
     if p.ndim == 1:
         if not norm2 > NORM_FLOOR:
-            return math.nan
+            return np.float64(np.nan)
         p /= norm2
         return entropy_bits(p)
     resolvable = norm2 > NORM_FLOOR

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from lqcat import formulas
 from lqcat.formulas import (
     closed_measures,
     closed_spectrum,
@@ -27,7 +26,6 @@ from lqcat.formulas import (
     tmsvs_fidelity,
 )
 from lqcat.model import (
-    ENTROPY_CLASSES,
     NORM_FLOOR,
     DegeneratePostselectionError,
     entropy_of,
@@ -241,14 +239,10 @@ class TestSchmidtWeights:
                 expected = first.copy()
                 first[...] = 99.0
                 assert np.array_equal(closed_weights(1.2, T1, T2, N), expected)
-        assert len(formulas._CLASS_INDEX) == len(ENTROPY_CLASSES)
-        for arrays in formulas._CLASS_INDEX.values():
-            assert not any(a.flags.writeable for a in arrays)
 
     def test_point_factor_is_the_array_factor(self):
         # A float T builds its factor from math.sqrt, an array T from
-        # np.sqrt; equal T2 = T1 shares one factor, except at a signed
-        # zero.  All give the broadcast call's cell bit for bit.
+        # np.sqrt; both give the broadcast call's cell bit for bit.
         T = np.array([-0.0, 0.0, 1e-300, 0.25, 0.5, 2 / 3, 0.999, 1.0])
         for N in (30, 480):
             grid = closed_weights(1.7, T[:, None], T, N)

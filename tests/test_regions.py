@@ -115,7 +115,10 @@ class TestSymmetricRow:
             report(make_params(1.0, 0.0, 0.5))
         with pytest.raises(DegeneratePostselectionError):
             report(make_params(0.0, 0.0, 0.0))
-        assert math.isnan(closed_entropy(0.0, 0.0, 0.0))
+        # The scalar is a numpy float64 whether or not the state vanishes.
+        nan, bits = closed_entropy(0.0, 0.0, 0.0), closed_entropy(1.0, 0.3, 0.3)
+        assert math.isnan(nan)
+        assert type(nan) is type(bits) is np.float64
 
     def test_report_entropy_is_the_grid_cell(self):
         # A grid row of T1 against all of T2 takes the class of its
