@@ -241,14 +241,13 @@ def closed_entropy(r: float, T1, T2):
 
     The entropy is the one measure summed over a truncated spectrum.
     Rows and sweeps take it from here, and report from the per-N kernel
-    _entropy at the N this function gives its point.  Each index along
-    the first axis is truncated at the N that choose_truncation gives for
-    its largest q = t1 t2 tanh r over the remaining axes: a grid row of T1
-    against all of T2 is one unit, and a cell of a symmetric row is its
-    own.  So a cell's N depends on its own row only, never on the block
-    or the row it is evaluated with.  closed_weights runs once per class
-    present, on the class's rows of T1 and T2, so a grid still builds its
-    powers per axis and a row whose cells share one class costs one call.
+    _entropy at choose_truncation(params).  Every cell is truncated at
+    the N of its own q = t1 t2 tanh r, by the same table and the same
+    bisect_left as choose_truncation, so a cell's value never depends on
+    the row, grid or block it is evaluated with, and it is report's bit
+    for bit.  Where every cell shares one class, closed_weights runs once
+    on the broadcast operands, so a grid builds its powers once per axis;
+    otherwise once per class, on that class's cells taken 1-D.
 
     r is a scalar; floats give a numpy float64.  Where the weights' squared
     norm is not above NORM_FLOOR the entropy is NaN.  Raises
@@ -256,29 +255,22 @@ def closed_entropy(r: float, T1, T2):
     """
     T1 = np.asarray(T1, dtype=float)
     T2 = np.asarray(T2, dtype=float)
-    N_max = choose_truncation(make_params(
+    N = choose_truncation(make_params(
         r, float(T1.max(initial=0.0)), float(T2.max(initial=0.0))))
-    shape = np.broadcast_shapes(T1.shape, T2.shape)
-    if not shape or shape[0] < 2 or N_max == ENTROPY_CLASSES[0][0]:
-        return _entropy(r, T1, T2, N_max)
-
-    def leading(a):
-        return a.ndim == len(shape) and a.shape[0] == shape[0]
-
-    def row_max(a):
-        if leading(a):
-            return a.reshape(shape[0], -1).max(axis=1, initial=0.0)
-        return a.max(initial=0.0)
-
-    q = np.sqrt(row_max(T1)) * np.sqrt(row_max(T2)) * math.tanh(r)
-    label = np.searchsorted(CLASS_LIMITS, q)
-    out = np.empty(shape)
-    for k in np.unique(label):
-        rows = label == k
-        T1k = T1[rows] if leading(T1) else T1
-        T2k = T1k if T2 is T1 else T2[rows] if leading(T2) else T2
-        out[rows] = _entropy(r, T1k, T2k, ENTROPY_CLASSES[k][0])
-    return out
+    if N > ENTROPY_CLASSES[0][0]:
+        q = np.sqrt(T1) * np.sqrt(T2) * math.tanh(r)
+        label = np.searchsorted(CLASS_LIMITS, q)
+        classes = np.unique(label)
+        if len(classes) != 1:
+            out = np.empty(label.shape)
+            for k in classes:
+                cells = label == k
+                T1k = np.broadcast_to(T1, label.shape)[cells]
+                T2k = T1k if T2 is T1 else np.broadcast_to(T2, label.shape)[cells]
+                out[cells] = _entropy(r, T1k, T2k, ENTROPY_CLASSES[k][0])
+            return out
+        N = ENTROPY_CLASSES[classes[0]][0]
+    return _entropy(r, T1, T2, N)
 
 
 def _entropy(r: float, T1, T2, N: int):

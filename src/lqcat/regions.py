@@ -49,8 +49,8 @@ GRID_CAP = 10**7
 # of p_cd, EPR or fidelity cells takes 10,485 of them, enough for a
 # 100 x 100 map.  The entropy's weights are counted at 8 doubles, a
 # conservative bound on the 0.4-3 closed_entropy holds (2^16 weights per
-# block).  No value depends on the block size: each cell's truncation
-# depends on its own row only.
+# block).  Blocks split both axes, and no value depends on their size:
+# each cell's truncation depends on its own q only.
 SWEEP_BLOCK = 1 << 19
 CLOSED_CELL_DOUBLES = 50
 ENTROPY_WEIGHT_DOUBLES = 8
@@ -81,11 +81,11 @@ class RowMeasures:
 
     p_cd, the EPR variance and the fidelity come from closed_measures,
     with no truncation.  Only the entropy builds weights, through
-    formulas.closed_entropy: each index along the first axis is truncated
-    at the N that choose_truncation gives for its own largest
-    q = t1 t2 tanh r, not at the N of the row's largest T, and a property
-    test (test_regions.py, test_entropy_against_40_digit_sums) holds it
-    within 1e-14 of 40-digit sums.  Where the heralding probability underflows, every measure but
+    formulas.closed_entropy: each cell is truncated at the N that
+    choose_truncation gives for its own q = t1 t2 tanh r, so it equals
+    report at that point bit for bit, and a property test (test_regions.py,
+    test_entropy_against_40_digit_sums) holds it within 1e-14 of 40-digit
+    sums.  Where the heralding probability underflows, every measure but
     pcd is NaN.
     """
 
@@ -234,25 +234,30 @@ def _blocked_values(quantity: str, r: float, T1: np.ndarray,
     """One quantity at r over the grid T1 x T2, or along T1 = T2 when T2
     is None.
 
-    Each block of T1 holds at most SWEEP_BLOCK doubles of working set:
+    Each block holds at most SWEEP_BLOCK doubles of working set:
     CLOSED_CELL_DOUBLES per cell, or ENTROPY_WEIGHT_DOUBLES per weight
     for the entropy, which builds at most N + 1 weights per cell,
-    N = choose_truncation at the largest T.
+    N = choose_truncation at the largest T.  A block takes whole T2 rows
+    while one fits, else part of one row, so neither axis grows it.
     """
     T1max = float(np.max(T1, initial=0.0))
     params = make_params(r, T1max, T1max if T2 is None else float(T2.max()))
-    width = 1 if T2 is None else len(T2)
     if quantity == "entropy":
-        width *= ENTROPY_WEIGHT_DOUBLES * (choose_truncation(params) + 1)
+        per_cell = ENTROPY_WEIGHT_DOUBLES * (choose_truncation(params) + 1)
     else:
-        width *= CLOSED_CELL_DOUBLES
-    step = max(1, SWEEP_BLOCK // width)
+        per_cell = CLOSED_CELL_DOUBLES
+    cells = max(1, SWEEP_BLOCK // per_cell)
+    width = 1 if T2 is None else len(T2)
+    rows, cols = max(1, cells // width), min(width, cells)
     out = np.empty((len(T1),) if T2 is None else (len(T1), len(T2)))
-    for j in range(0, len(T1), step):
-        block = T1[j:j + step]
-        rows = (RowMeasures(r=r, T1=block, T2=block) if T2 is None
-                else RowMeasures(r=r, T1=block[:, None], T2=T2))
-        out[j:j + step] = rows.values(quantity)
+    for j in range(0, len(T1), rows):
+        block = T1[j:j + rows]
+        if T2 is None:
+            out[j:j + rows] = RowMeasures(r=r, T1=block, T2=block).values(quantity)
+        else:
+            for k in range(0, width, cols):
+                out[j:j + rows, k:k + cols] = RowMeasures(
+                    r=r, T1=block[:, None], T2=T2[k:k + cols]).values(quantity)
     return out
 
 
@@ -269,9 +274,9 @@ def _check_search(name: str, quantity: str, tol: float) -> None:
     if quantity not in MEASURES:
         raise ParameterError(f"{name} is defined for {MEASURES}, got {quantity!r}")
     # A t_range scan holds 1/tol points, so this floor keeps it under the cap.
-    if not tol >= 1.0 / GRID_CAP:
-        raise ParameterError(
-            f"tol must be >= 1 / grid cap = {1.0 / GRID_CAP:g}, got {tol}")
+    if not 1.0 / GRID_CAP <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and >= 1 / grid cap = "
+                             f"{1.0 / GRID_CAP:g}, got {tol}")
 
 
 def _refine(quantity: str, r: float, lo, hi):
@@ -302,7 +307,7 @@ def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
 
     Brackets on r in [0.01, 2.0]; raises if no enhancement is found even
     at the lower end, which would signal an implementation regression.
-    tol must be at least 1 / GRID_CAP.
+    tol must be finite and at least 1 / GRID_CAP.
     """
     _check_search("threshold", quantity, tol)
     lo, hi = R_BRACKET
@@ -331,7 +336,7 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     T = 0 and 1, brackets each edge; _refine splits every bracket into
     POLISH_POINTS - 1 cells, and the endpoint is the midpoint of the cell
     the edge falls in, so within step / 256 of an edge that crosses its
-    bracket once.  tol must be at least 1 / GRID_CAP.
+    bracket once.  tol must be finite and at least 1 / GRID_CAP.
     """
     _check_search("t_range", quantity, tol)
     step = min(tol, T_SCAN_STEP)

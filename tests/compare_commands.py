@@ -10,14 +10,19 @@ Every argv of cli_commands.txt, the file next to this script, runs as
 checkout's src/ as PYTHONPATH, OPENBLAS_NUM_THREADS=1 and an empty
 working directory; the two runs of one command go side by side.  Each
 command whose exit code, stdout or stderr differs is printed with the
-first line that differs.  Exits 1 if any command differs, else 0.
+first line that differs, the number of lines that differ, the largest
+absolute difference between numeric fields (split on commas, whitespace
+and JSON punctuation), and whether any other field differs, such as
+true/false or NaN.  Exits 1 if any command differs, else 0.
 
 Needs only the standard library; pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -25,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = Path(__file__).resolve().parent / "cli_commands.txt"
+FIELD_SEPARATORS = re.compile(r'[\s,\[\]{}:"]+')
 
 
 def read_commands() -> list[list[str]]:
@@ -53,6 +59,36 @@ def first_difference(a: str, b: str) -> str:
     return "trailing newline"
 
 
+def drift(a: str, b: str) -> str:
+    """How far two outputs are apart: the lines that differ, the largest
+    absolute difference between numeric fields, and whether any other
+    field differs (a non-number, a non-finite difference, or a line
+    whose field count differs)."""
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    lines = abs(len(a_lines) - len(b_lines))
+    largest, other = 0.0, lines > 0
+    for x, y in zip(a_lines, b_lines):
+        if x == y:
+            continue
+        lines += 1
+        x_fields, y_fields = FIELD_SEPARATORS.split(x), FIELD_SEPARATORS.split(y)
+        if len(x_fields) != len(y_fields):
+            other = True
+        for u, v in zip(x_fields, y_fields):
+            if u == v:
+                continue
+            try:
+                gap = abs(float(u) - float(v))
+            except ValueError:
+                gap = math.nan
+            if math.isfinite(gap):
+                largest = max(largest, gap)
+            else:
+                other = True
+    return (f"differing lines {lines}, largest numeric difference "
+            f"{largest:.2g}, other fields {'differ' if other else 'equal'}")
+
+
 def compare(parent: Path, change: Path, argv: list[str]) -> list[str]:
     """The differences between the two runs of one argv, one per stream."""
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
@@ -64,7 +100,7 @@ def compare(parent: Path, change: Path, argv: list[str]) -> list[str]:
         diffs.append(f"exit code: parent {code_a}, change {code_b}")
     for name, x, y in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
         if x != y:
-            diffs.append(f"{name} {first_difference(x, y)}")
+            diffs.append(f"{name} {first_difference(x, y)}\n      {drift(x, y)}")
     return diffs
 
 

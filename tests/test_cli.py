@@ -159,10 +159,12 @@ def test_oracle_loads_no_scipy_linalg():
     ("table", "--resolution", "100000"),
     ("regions", "--resolution", "100000"),
     ("threshold", "--quantity", "epr", "--tol", "1e-17"),
+    ("threshold", "--quantity", "epr", "--tol", "inf"),
 ])
 def test_oversized_grid_exits_before_allocating(capsys, argv):
     # Each axis above would take 80 MB or more; the audits would run for
-    # hours, and the threshold bisection would never end.
+    # hours, and the threshold bisection would never end (or, at an
+    # infinite tol, would end at once on the bracket's midpoint).
     tracemalloc.start()
     try:
         code, _, err = run(capsys, *argv, "--no-meta")
