@@ -193,15 +193,23 @@ def _index_arrays(N: int) -> tuple:
     return arrays
 
 
-def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
-    """Unnormalized weights w~_0 .. w~_N, broadcast over T1 and T2.
+def _each_r(f, r):
+    """f(r), or f at each element of an array r, shaped like r: libm's
+    tanh and cosh at every r, where numpy's differ in the last place."""
+    if not isinstance(r, np.ndarray):
+        return f(r)
+    return np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
+
+
+def closed_weights(r, T1, T2, N: int) -> np.ndarray:
+    """Unnormalized weights w~_0 .. w~_N, broadcast over r, T1 and T2.
 
     w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
     factor g_n(T) = ((n+1) T - n) t^(n-1).  Its n = 0 value simplifies
     algebraically to t, which also covers t = 0.  The result has shape
-    broadcast(T1, T2) + (N + 1,); each factor is built on its own shape,
-    so a grid pays for the powers once per axis, not once per cell, and
-    a symmetric row (T2 is T1) builds its one factor once.
+    broadcast(r, T1, T2) + (N + 1,); each factor is built on its own shape
+    (r's once per distinct r), so a grid pays for the powers once per
+    axis, not per cell, and a symmetric row (T2 is T1) builds one factor.
 
     The per-N constants n, n + 1 and max(n - 1, 0) are built once per N
     and cached.  A float T is a point: its factor takes
@@ -223,7 +231,11 @@ def closed_weights(r: float, T1, T2, N: int) -> np.ndarray:
 
     g1 = factor(T1)
     g2 = g1 if T2 is T1 else factor(T2)
-    return math.tanh(r) ** n / math.cosh(r) * g1 * g2
+    if not isinstance(r, np.ndarray):
+        return math.tanh(r) ** n / math.cosh(r) * g1 * g2
+    rs, inverse = np.unique(r, return_inverse=True)
+    radial = _each_r(math.tanh, rs)[:, None] ** n / _each_r(math.cosh, rs)[:, None]
+    return radial[inverse.reshape(r.shape)] * g1 * g2
 
 
 def closed_spectrum(params: CatalysisParams):
@@ -236,8 +248,8 @@ def closed_spectrum(params: CatalysisParams):
     return normalize_weights(raw)
 
 
-def closed_entropy(r: float, T1, T2):
-    """Entanglement entropy in bits, broadcast over T1 and T2.
+def closed_entropy(r, T1, T2):
+    """Entanglement entropy in bits, broadcast over r, T1 and T2.
 
     The entropy is the one measure summed over a truncated spectrum.
     Rows and sweeps take it from here, and report from the per-N kernel
@@ -247,33 +259,35 @@ def closed_entropy(r: float, T1, T2):
     the row, grid or block it is evaluated with, and it is report's bit
     for bit.  Where every cell shares one class, closed_weights runs once
     on the broadcast operands, so a grid builds its powers once per axis;
-    otherwise once per class, on that class's cells taken 1-D.
+    otherwise once per class, on that class's cells (r, T1, T2) taken 1-D.
 
-    r is a scalar; floats give a numpy float64.  Where the weights' squared
-    norm is not above NORM_FLOOR the entropy is NaN.  Raises
-    ParameterError where choose_truncation does at the largest T1 and T2.
+    Floats give a numpy float64.  Where the weights' squared norm is not
+    above NORM_FLOOR the entropy is NaN.  Raises ParameterError where
+    make_params does at the smallest or the largest r, T1 and T2, or
+    choose_truncation at some cell.
     """
     T1 = np.asarray(T1, dtype=float)
     T2 = np.asarray(T2, dtype=float)
-    N = choose_truncation(make_params(
-        r, float(T1.max(initial=0.0)), float(T2.max(initial=0.0))))
-    if N > ENTROPY_CLASSES[0][0]:
-        q = np.sqrt(T1) * np.sqrt(T2) * math.tanh(r)
-        label = np.searchsorted(CLASS_LIMITS, q)
-        classes = np.unique(label)
-        if len(classes) != 1:
-            out = np.empty(label.shape)
-            for k in classes:
-                cells = label == k
-                T1k = np.broadcast_to(T1, label.shape)[cells]
-                T2k = T1k if T2 is T1 else np.broadcast_to(T2, label.shape)[cells]
-                out[cells] = _entropy(r, T1k, T2k, ENTROPY_CLASSES[k][0])
-            return out
-        N = ENTROPY_CLASSES[classes[0]][0]
-    return _entropy(r, T1, T2, N)
+    for end in (np.min, np.max):
+        make_params(*(float(end(a, initial=0.0)) for a in (r, T1, T2)))
+    label = np.searchsorted(CLASS_LIMITS, np.sqrt(T1) * np.sqrt(T2) * _each_r(math.tanh, r))
+    if (top := label.max(initial=0)) == len(CLASS_LIMITS):
+        choose_truncation(make_params(*(float(a[label == top][0])
+                                        for a in np.broadcast_arrays(r, T1, T2))))
+    if label.min(initial=top) == top:
+        return _entropy(r, T1, T2, ENTROPY_CLASSES[top][0])
+    cells = np.broadcast_arrays(r, T1, T2)
+    out = np.empty(label.shape)
+    for k in np.unique(label):
+        at = label == k
+        T1k = cells[1][at]
+        T2k = T1k if T2 is T1 else cells[2][at]
+        rk = cells[0][at] if isinstance(r, np.ndarray) else r
+        out[at] = _entropy(rk, T1k, T2k, ENTROPY_CLASSES[k][0])
+    return out
 
 
-def _entropy(r: float, T1, T2, N: int):
+def _entropy(r, T1, T2, N: int):
     """closed_entropy with every cell truncated at N.
 
     closed_entropy calls it once per class present, and report once at
@@ -330,7 +344,7 @@ def _shifted_Q(T1, R1, T2, R2, s: int) -> tuple:
     return (a1 * a2, -(a1 * R2 + a2 * R1), R1 * R2)
 
 
-def closed_measures(r: float, T1, T2):
+def closed_measures(r, T1, T2):
     """p_cd, EPR variance and teleportation fidelity, with no truncation.
 
     Derived from the weights w~_n = Q(n) q^n / (t1 t2 cosh r), where
@@ -353,10 +367,13 @@ def closed_measures(r: float, T1, T2):
     term by term (x^n / (T1 T2) = x^(n-1) tanh^2 r, and the n = 0 terms
     carry Q(0) = T1 T2), so T1 T2 = 0 needs no special case.
 
-    r is a scalar; T1 and T2 broadcast, and floats give floats.  Where
-    p_cd <= NORM_FLOOR the EPR variance and the fidelity are NaN.
+    r, T1 and T2 broadcast (r's tanh and cosh from libm), and floats give
+    floats.  Where p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.
     """
-    u = math.tanh(r)
+    if isinstance(r, np.ndarray):
+        u, ch2 = _each_r(math.tanh, r), _each_r(lambda x: math.cosh(x) ** 2, r)
+    else:
+        u, ch2 = math.tanh(r), math.cosh(r) ** 2
     u2 = u * u
     R1, R2 = 1.0 - T1, 1.0 - T2
     T12 = T1 * T2
@@ -396,7 +413,7 @@ def closed_measures(r: float, T1, T2):
     overlap = T12 + q * Q1 + u2 * (
         0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q, 4)))
 
-    p_cd = norm / math.cosh(r) ** 2
+    p_cd = norm / ch2
     # Arithmetic on floats, numpy scalars or 0-d arrays gives a scalar.
     if not isinstance(p_cd, np.ndarray):
         if not p_cd > NORM_FLOOR:

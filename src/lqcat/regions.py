@@ -19,6 +19,7 @@ T = 1 identity line is never classified as enhancement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .formulas import (
+    _each_r,
     closed_entropy,
     closed_measures,
     tmsvs_entropy,
@@ -60,24 +62,19 @@ POLISH_POINTS = 129
 DEFAULT_TOL = 1e-3
 
 
-def _baseline(quantity: str, r: float) -> float:
-    if quantity == "entropy":
-        return tmsvs_entropy(r)
-    if quantity == "epr":
-        return tmsvs_epr(r)
-    if quantity == "fidelity":
-        return tmsvs_fidelity(r)
-    if quantity == "pcd":
-        # Success probability has no un-catalyzed counterpart; the natural
-        # reference is the certain heralding of the identity line T = 1.
-        return 1.0
-    raise ParameterError(f"unknown quantity {quantity!r}")
+def _baseline(quantity: str, r):
+    """The un-catalyzed reference of quantity at r, or at each r of an
+    array, shaped like r.  Success probability has no un-catalyzed
+    counterpart; the natural reference is the certain heralding of the
+    identity line T = 1."""
+    return _each_r({"entropy": tmsvs_entropy, "epr": tmsvs_epr,
+                    "fidelity": tmsvs_fidelity, "pcd": lambda r: 1.0}[quantity], r)
 
 
 @dataclass(frozen=True)
 class RowMeasures:
-    """Measures at the points (r, T1, T2) of one r = const row, T1 and T2
-    broadcast against each other, each evaluated on first read.
+    """Measures at the points (r, T1, T2) of a row or a grid block, all
+    three broadcast against each other, each evaluated on first read.
 
     p_cd, the EPR variance and the fidelity come from closed_measures,
     with no truncation.  Only the entropy builds weights, through
@@ -89,7 +86,7 @@ class RowMeasures:
     pcd is NaN.
     """
 
-    r: float
+    r: float | np.ndarray
     T1: np.ndarray
     T2: np.ndarray
 
@@ -213,52 +210,49 @@ def _sweep(quantity: str, r_values, T1_values, T2_values, engine: str):
     if quantity == "entropy" or engine == "oracle":
         choose_truncation(corner)  # the grid's largest q
     axis_r, axis_T1, axis_T2 = (axes + [None])[:3]
-    baselines = np.array([_baseline(quantity, r) for r in axis_r])
-    raw = np.empty(tuple(map(len, axes)))
-    for i, r in enumerate(axis_r):
-        if engine == "oracle":
-            from .oracle import oracle_measure
+    baselines = _baseline(quantity, axis_r)
+    if engine == "oracle":
+        from .oracle import oracle_measure
 
-            raw[i] = [[oracle_measure(quantity, make_params(r, T1, T2))
-                       for T2 in axis_T2] for T1 in axis_T1]
-        else:
-            raw[i] = _blocked_values(quantity, r, axis_T1, axis_T2)
+        raw = np.array([[[oracle_measure(quantity, make_params(r, T1, T2))
+                          for T2 in axis_T2] for T1 in axis_T1] for r in axis_r])
+    else:
+        raw, = _blocked_values((quantity,), axis_r, axis_T1, axis_T2)
     values = delta(quantity, raw, baselines.reshape((-1,) + (1,) * (raw.ndim - 1)))
     return RegionGrid(quantity=quantity, axis_r=axis_r, axis_T1=axis_T1,
                       axis_T2=axis_T2, values=values, raw=raw,
                       baselines=baselines)
 
 
-def _blocked_values(quantity: str, r: float, T1: np.ndarray,
-                    T2: np.ndarray | None = None) -> np.ndarray:
-    """One quantity at r over the grid T1 x T2, or along T1 = T2 when T2
-    is None.
-
-    Each block holds at most SWEEP_BLOCK doubles of working set:
-    CLOSED_CELL_DOUBLES per cell, or ENTROPY_WEIGHT_DOUBLES per weight
-    for the entropy, which builds at most N + 1 weights per cell,
-    N = choose_truncation at the largest T.  A block takes whole T2 rows
-    while one fits, else part of one row, so neither axis grows it.
+def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
+                    T2: np.ndarray | None = None) -> list:
+    """One array per quantity over the grid r x T1 x T2, or r x T along
+    T1 = T2 when T2 is None.  Its rows, the r or the (r, T1) pairs in
+    row-major order, run along the last T axis.  Each block holds at most
+    SWEEP_BLOCK doubles of working set: CLOSED_CELL_DOUBLES per cell, or
+    ENTROPY_WEIGHT_DOUBLES per weight with the entropy, which builds at
+    most N + 1 weights per cell, N = choose_truncation at the largest r
+    and T.  A block takes whole rows while one fits, else part of one
+    row, and indexes its r and T1 by its row numbers: no axis grows it.
     """
-    T1max = float(np.max(T1, initial=0.0))
-    params = make_params(r, T1max, T1max if T2 is None else float(T2.max()))
-    if quantity == "entropy":
+    axis = T1 if T2 is None else T2
+    params = make_params(float(np.max(r)), float(np.max(T1)), float(np.max(axis)))
+    if "entropy" in quantities:
         per_cell = ENTROPY_WEIGHT_DOUBLES * (choose_truncation(params) + 1)
     else:
         per_cell = CLOSED_CELL_DOUBLES
     cells = max(1, SWEEP_BLOCK // per_cell)
-    width = 1 if T2 is None else len(T2)
-    rows, cols = max(1, cells // width), min(width, cells)
-    out = np.empty((len(T1),) if T2 is None else (len(T1), len(T2)))
-    for j in range(0, len(T1), rows):
-        block = T1[j:j + rows]
-        if T2 is None:
-            out[j:j + rows] = RowMeasures(r=r, T1=block, T2=block).values(quantity)
-        else:
-            for k in range(0, width, cols):
-                out[j:j + rows, k:k + cols] = RowMeasures(
-                    r=r, T1=block[:, None], T2=T2[k:k + cols]).values(quantity)
-    return out
+    rows, cols = max(1, cells // len(axis)), min(len(axis), cells)
+    per_r = 1 if T2 is None else len(T1)
+    outs = [np.empty((len(r) * per_r, len(axis))) for _ in quantities]
+    for start in range(0, len(outs[0]), rows):
+        i, j = divmod(np.arange(start, min(start + rows, len(outs[0]))), per_r)
+        for k in range(0, len(axis), cols):
+            Tk = axis[k:k + cols]
+            block = RowMeasures(r=r[i, None], T1=Tk if T2 is None else T1[j, None], T2=Tk)
+            for out, quantity in zip(outs, quantities):
+                out[start:start + rows, k:k + cols] = block.values(quantity)
+    return [out if T2 is None else out.reshape(len(r), per_r, -1) for out in outs]
 
 
 @dataclass(frozen=True)
@@ -341,8 +335,8 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     _check_search("t_range", quantity, tol)
     step = min(tol, T_SCAN_STEP)
     T = np.concatenate(([0.0], np.arange(step, 1.0, step), [1.0]))
-    deltas = delta(quantity, _blocked_values(quantity, r, T[1:-1]),
-                   _baseline(quantity, r))
+    values, = _blocked_values((quantity,), np.array([r]), T[1:-1])
+    deltas = delta(quantity, values[0], _baseline(quantity, r))
     inside = np.concatenate(([False], deltas > ENHANCEMENT_GUARD, [False]))
     # Bracket k runs from T[edges[k]] to T[edges[k] + 1]; rising and
     # falling edges alternate.
@@ -382,14 +376,19 @@ class ImplicationTable:
     entries: tuple = field(default_factory=tuple)
 
 
-def _audit_axes(resolution: int):
-    """The audits' (r, T) axes, validated before they are built."""
+def _audit_deltas(resolution: int):
+    """The audits' (r, T) axes, validated before they are built, and the
+    three measures' delta grids over them: the entropy in one pass, and
+    the EPR and fidelity, which share closed_measures, in another."""
     if resolution < 100:
         raise ParameterError(f"resolution must be >= 100, got {resolution}")
     _check_grid(resolution, resolution)
     r_axis = 0.8 * (np.arange(resolution) + 1.0) / resolution
     T_axis = (np.arange(resolution) + 0.5) / resolution
-    return r_axis, T_axis
+    values = (_blocked_values(("entropy",), r_axis, T_axis)
+              + _blocked_values(("epr", "fidelity"), r_axis, T_axis))
+    deltas = {q: delta(q, v, _baseline(q, r_axis)[:, None]) for q, v in zip(MEASURES, values)}
+    return r_axis, T_axis, deltas
 
 
 def implication_table(resolution: int = 400) -> ImplicationTable:
@@ -398,37 +397,24 @@ def implication_table(resolution: int = 400) -> ImplicationTable:
     Samples (r, T) in (0, 0.8] x (0, 1), symmetric catalysis.  For every
     ordered pair of measures, checks whether every sampled point that
     enhances the first also enhances the second; each failing pair keeps
-    the strongest counterexample (largest antecedent delta).  Points
-    whose antecedent delta sits inside the guard band are boundary cells
-    and are not counted against an implication.
+    the strongest counterexample (largest antecedent delta; among equals
+    the smallest r, then T).  Points whose antecedent delta sits inside
+    the guard band are boundary cells and are not counted against an
+    implication.
     """
-    r_axis, T_axis = _audit_axes(resolution)
-    pairs = [(a, b) for a in MEASURES for b in MEASURES if a != b]
-    holds = {pair: True for pair in pairs}
-    witnesses: dict = {pair: None for pair in pairs}
-    for r in r_axis:
-        row = symmetric_row(r, T_axis)
-        deltas = {q: row.deltas(q) for q in MEASURES}
-        flags = {q: deltas[q] > ENHANCEMENT_GUARD for q in MEASURES}
-        for a, b in pairs:
-            viol = flags[a] & ~flags[b]
-            if not np.any(viol):
-                continue
-            holds[(a, b)] = False
-            j = int(np.argmax(np.where(viol, deltas[a], -np.inf)))
-            best = witnesses[(a, b)]
-            if best is None or deltas[a][j] > best.antecedent_delta:
-                witnesses[(a, b)] = Witness(
-                    r=float(r), T=float(T_axis[j]),
-                    antecedent_delta=float(deltas[a][j]),
-                    consequent_delta=float(deltas[b][j]),
-                )
-    entries = tuple(
-        ImplicationEntry(antecedent=a, consequent=b, holds=holds[(a, b)],
-                         witness=witnesses[(a, b)])
-        for a, b in pairs
-    )
-    return ImplicationTable(resolution=resolution, entries=entries)
+    r_axis, T_axis, deltas = _audit_deltas(resolution)
+    entries = []
+    for a, b in itertools.permutations(MEASURES, 2):
+        viol = (deltas[a] > ENHANCEMENT_GUARD) & ~(deltas[b] > ENHANCEMENT_GUARD)
+        witness = None
+        if np.any(viol):
+            at = np.unravel_index(np.argmax(np.where(viol, deltas[a], -np.inf)), viol.shape)
+            witness = Witness(r=float(r_axis[at[0]]), T=float(T_axis[at[1]]),
+                              antecedent_delta=float(deltas[a][at]),
+                              consequent_delta=float(deltas[b][at]))
+        entries.append(ImplicationEntry(antecedent=a, consequent=b,
+                                        holds=witness is None, witness=witness))
+    return ImplicationTable(resolution=resolution, entries=tuple(entries))
 
 
 def common_region(resolution: int = 200) -> RegionGrid:
@@ -437,11 +423,8 @@ def common_region(resolution: int = 200) -> RegionGrid:
     The grid value at each point is the smallest of the three deltas, so
     positive cells are exactly the common feasibility region.
     """
-    r_axis, T_axis = _audit_axes(resolution)
-    values = np.empty((len(r_axis), len(T_axis)))
-    for i, r in enumerate(r_axis):
-        row = symmetric_row(r, T_axis)
-        values[i] = np.min([row.deltas(q) for q in MEASURES], axis=0)
+    r_axis, T_axis, deltas = _audit_deltas(resolution)
+    values = np.min([deltas[q] for q in MEASURES], axis=0)
     return RegionGrid(quantity="common", axis_r=r_axis, axis_T1=T_axis,
                       axis_T2=None, values=values, raw=values.copy(),
                       baselines=np.zeros(len(r_axis)))

@@ -11,6 +11,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lqcat.formulas import (
+    closed_entropy,
     closed_measures,
     closed_spectrum,
     closed_weights,
@@ -186,6 +187,22 @@ class TestClosedMeasures:
                     assert got.shape == (5, 4)
                     assert got[i, j] == pytest.approx(want, rel=1e-14, abs=0.0,
                                                       nan_ok=True)
+
+    def test_r_axis_matches_scalar_r(self):
+        # numpy's tanh differs from libm's in the last place at the first
+        # six r, and np.cosh(r)**2 from math.cosh(r)**2 at the last three,
+        # so an r axis built on either would move its cells off the rows.
+        # Along r the entropy's truncation classes mix, at T = 1 from
+        # N = 30 to 1920.
+        r = np.array([0.05, 0.15, 0.6, 0.8, 1.5, 2.1, 0.4, 0.65, 0.9])
+        assert np.all(np.tanh(r[:6]) != [math.tanh(x) for x in r[:6]])
+        assert np.all(np.cosh(r[6:]) ** 2 != [math.cosh(x) ** 2 for x in r[6:]])
+        T = np.array([0.0, 0.1, 0.5, 2 / 3, 0.9, 1.0])
+        grid = closed_measures(r[:, None], T, T) + (closed_entropy(r[:, None], T, T),)
+        for i, x in enumerate(r.tolist()):
+            row = closed_measures(x, T, T) + (closed_entropy(x, T, T),)
+            for got, want in zip(grid, row):
+                assert got[i].tobytes() == want.tobytes(), x
 
     def test_identity_line(self):
         for r in (0.0, 0.3, 1.0, 2.0):

@@ -141,6 +141,17 @@ class TestSymmetricRow:
                         continue
                     assert report(params).entropy == cells[i, j, k], (r, a, b)
 
+    def test_paired_cells_check_the_cap_cell_by_cell(self):
+        # Each cell needs N = 120.  The cap used to be checked at
+        # (2.45, max T1, max T2) = (2.45, 1, 1), which is not a cell, and
+        # raised.
+        T1, T2 = [1.0, 0.5], [0.5, 1.0]
+        want = [report(make_params(2.45, a, b)).entropy for a, b in zip(T1, T2)]
+        assert closed_entropy(2.45, T1, T2).tolist() == want
+        assert RowMeasures(2.45, np.array(T1), np.array(T2)).entropy.tolist() == want
+        with pytest.raises(ParameterError, match="cap"):
+            closed_entropy(2.45, 1.0, 1.0)
+
     def test_identity_line_has_no_enhancement(self):
         for r in (0.1, 0.5, 1.0, 1.8):
             row = symmetric_row(r, np.array([1.0]))
@@ -226,14 +237,24 @@ class TestSweep:
         # r = 2 puts the T1 rows in four truncation classes, and the last
         # row of the wide grid in five.  Every block size splits the wide
         # rows: 1 and 7 doubles give one cell per block, 500 ten fidelity
-        # cells, and 40,000 five entropy cells, whose classes mix.
+        # cells, and 40,000 five entropy cells, whose classes mix.  On the
+        # r axis of `mixed` the T = 1 cells take four classes, and a block
+        # of the default size holds several r; each r slab is the row's.
         T1 = np.linspace(0.05, 0.95, 7)
         wide = np.linspace(0.3, 1.0, 40)
+        mixed, T = [0.3, 1.0, 2.0, 2.3], np.array([0.0, 0.5, 2 / 3, 1.0])
         for quantity in ("entropy", "fidelity"):
             args = (quantity, [0.3, 0.7, 2.0], T1, [0.2, 0.5, 0.8])
             whole = sweep(*args).raw
             grid = sweep(quantity, [2.0], T1, wide).raw
             diagonal = symmetric_sweep(quantity, args[1], T1).raw
+            slabs = sweep(quantity, mixed, T, T).raw
+            diagonals = symmetric_sweep(quantity, mixed, T).raw
+            for i, r in enumerate(mixed):
+                np.testing.assert_array_equal(
+                    slabs[i], RowMeasures(r, T[:, None], T).values(quantity))
+                np.testing.assert_array_equal(
+                    diagonals[i], RowMeasures(r, T, T).values(quantity))
             for block in (1, 7, 500, 40_000):
                 with monkeypatch.context() as m:
                     m.setattr(regions, "SWEEP_BLOCK", block)
@@ -242,9 +263,14 @@ class TestSweep:
                         sweep(quantity, [2.0], T1, wide).raw, grid), quantity
                     assert np.array_equal(
                         symmetric_sweep(quantity, args[1], T1).raw, diagonal)
+                    np.testing.assert_array_equal(
+                        sweep(quantity, mixed, T, T).raw, slabs)
+                    np.testing.assert_array_equal(
+                        symmetric_sweep(quantity, mixed, T).raw, diagonals)
+        limits = [limit for _, limit in ENTROPY_CLASSES]
         q = np.sqrt(T1[-1] * wide) * math.tanh(2.0)
-        labels = np.searchsorted([limit for _, limit in ENTROPY_CLASSES], q)
-        assert len(set(labels.tolist())) == 5
+        assert len(set(np.searchsorted(limits, q).tolist())) == 5
+        assert len(set(np.searchsorted(limits, np.tanh(mixed)).tolist())) == 4
 
     def test_engines_agree(self):
         for quantity in ("entropy", "epr", "fidelity", "pcd"):
@@ -331,20 +357,26 @@ class TestSweep:
             assert np.array_equal(grid.raw[0], symmetric_row(r, T).entropy), r
 
     @pytest.mark.parametrize("quantity,r,count,limit", [
-        ("pcd", 0.5, 200_000, 12 << 20), ("entropy", 2.0, 4_000, 8 << 20)])
+        ("pcd", 0.5, 200_000, 12 << 20), ("entropy", 2.0, 4_000, 8 << 20),
+        ("pcd", np.linspace(0.01, 0.8, 400), 2_500, 20 << 20)])
     def test_general_sweep_row_is_blocked(self, quantity, r, count, limit):
-        # One T1 row against all of T2 was one block: the two peaked at
-        # 77.8 and 88.1 MiB.
-        T2 = np.linspace(0.001, 0.999, count)
+        # A float r is one T1 = 0.999 row against count T2.  When that row
+        # was one block, the two peaked at 77.8 and 88.1 MiB.  An r axis
+        # is a tall grid: a million (r, T1) rows of one cell each, which
+        # peaked at 15.3 MiB evaluated one r at a time, and at 27.1 MiB
+        # when r and T1 were repeated over every row of the grid.
+        T = np.linspace(0.001, 0.999, count)
+        axes = ([r], [0.999], T) if np.ndim(r) == 0 else (r, T, [0.5])
         tracemalloc.start()
         try:
-            grid = sweep(quantity, [r], [0.999], T2)
+            grid = sweep(quantity, *axes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < limit
-        part = RowMeasures(r, np.array([0.999]), T2[::97]).values(quantity)
-        assert np.array_equal(grid.raw[0, 0, ::97], part)
+        r_axis, T1, T2 = (np.asarray(axis)[::97] for axis in axes)
+        part = RowMeasures(r_axis[:, None, None], T1[:, None], T2).values(quantity)
+        assert np.array_equal(grid.raw[::97, ::97, ::97], part)
 
     @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
     def test_closed_measure_blocks_are_sized_by_working_set(self, quantity,
@@ -463,7 +495,48 @@ class TestTRange:
         assert row.deltas("fidelity")[0] > 0.0
 
 
+def _per_row_deltas(resolution):
+    """The audits' axes and one symmetric_row per r, as the audits
+    evaluated them before the grid had an r axis."""
+    r_axis = 0.8 * (np.arange(resolution) + 1.0) / resolution
+    T_axis = (np.arange(resolution) + 0.5) / resolution
+    return r_axis, T_axis, [symmetric_row(r, T_axis) for r in r_axis]
+
+
+def _per_row_table(resolution):
+    """implication_table as a loop over rows: each failing pair keeps the
+    first row's witness with the largest antecedent delta (a strict >)."""
+    r_axis, T_axis, rows = _per_row_deltas(resolution)
+    pairs = [(a, b) for a in regions.MEASURES for b in regions.MEASURES if a != b]
+    holds = {pair: True for pair in pairs}
+    witnesses = {pair: None for pair in pairs}
+    for r, row in zip(r_axis, rows):
+        deltas = {q: row.deltas(q) for q in regions.MEASURES}
+        flags = {q: deltas[q] > 1e-12 for q in regions.MEASURES}
+        for a, b in pairs:
+            viol = flags[a] & ~flags[b]
+            if not np.any(viol):
+                continue
+            holds[(a, b)] = False
+            j = int(np.argmax(np.where(viol, deltas[a], -np.inf)))
+            best = witnesses[(a, b)]
+            if best is None or deltas[a][j] > best.antecedent_delta:
+                witnesses[(a, b)] = regions.Witness(
+                    r=float(r), T=float(T_axis[j]),
+                    antecedent_delta=float(deltas[a][j]),
+                    consequent_delta=float(deltas[b][j]))
+    return [(a, b, holds[(a, b)], witnesses[(a, b)]) for a, b in pairs]
+
+
 class TestImplicationTable:
+    @pytest.mark.parametrize("resolution", [100, 199])
+    def test_matches_the_per_row_loop(self, resolution):
+        # One masked argmax over the row-major grid picks the loop's
+        # witness: the largest antecedent delta, the earliest r, then T.
+        entries = [(e.antecedent, e.consequent, e.holds, e.witness)
+                   for e in implication_table(resolution).entries]
+        assert entries == _per_row_table(resolution)
+
     def test_resolution_validation(self):
         with pytest.raises(ParameterError):
             implication_table(resolution=50)
@@ -509,6 +582,13 @@ class TestImplicationTable:
 
 
 class TestCommonRegion:
+    @pytest.mark.parametrize("resolution", [100, 199])
+    def test_matches_the_per_row_min(self, resolution):
+        _, _, rows = _per_row_deltas(resolution)
+        expected = np.array([np.min([row.deltas(q) for q in regions.MEASURES], axis=0)
+                             for row in rows])
+        assert common_region(resolution).values.tobytes() == expected.tobytes()
+
     def test_membership(self):
         grid = common_region(resolution=100)
         i = int(np.argmin(np.abs(grid.axis_r - 0.2)))
