@@ -193,6 +193,15 @@ def _index_arrays(N: int) -> tuple:
     return arrays
 
 
+# Weights per chunk of closed_entropy, N + 1 per cell: about 4 MiB of working set.
+ENTROPY_CHUNK = 1 << 16
+
+
+def _operands(*xs):
+    """xs with every operand but a float taken as a float array."""
+    return [x if isinstance(x, float) else np.asarray(x, dtype=float) for x in xs]
+
+
 def _each_r(f, r):
     """f(r), or f at each element of an array r, shaped like r: libm's
     tanh and cosh at every r, where numpy's differ in the last place."""
@@ -201,41 +210,51 @@ def _each_r(f, r):
     return np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
 
 
-def closed_weights(r, T1, T2, N: int) -> np.ndarray:
+def closed_weights(r, T1, T2, N: int, at=None) -> np.ndarray:
     """Unnormalized weights w~_0 .. w~_N, broadcast over r, T1 and T2.
 
     w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
     factor g_n(T) = ((n+1) T - n) t^(n-1).  Its n = 0 value simplifies
     algebraically to t, which also covers t = 0.  The result has shape
-    broadcast(r, T1, T2) + (N + 1,); each factor is built on its own shape
-    (r's once per distinct r), so a grid pays for the powers once per
-    axis, not per cell, and a symmetric row (T2 is T1) builds one factor.
+    broadcast(r, T1, T2) + (N + 1,), or (len(at), N + 1) at the cells
+    whose flat indices in that shape are at.
 
-    The per-N constants n, n + 1 and max(n - 1, 0) are built once per N
-    and cached.  A float T is a point: its factor takes
-    t = math.sqrt(T), correctly rounded like np.sqrt, with no array
-    conversion.  Every path does the same operations in the same order,
+    One rule builds the factors of r, T1 and T2: once per distinct bit
+    pattern of the operand's values at the cells, then gathered, so a
+    grid pays for the powers once per axis value.  An operand of one
+    element, or of one value per cell, is built as it is, unsorted and
+    gathered at most once, and T2 is T1 builds one factor.  A float is a
+    point: math.sqrt (correctly rounded like np.sqrt) and libm's tanh and
+    cosh, with no array conversion; any other operand is taken as a
+    float array.  Every path does the same operations in the same order,
     so a point's weights are its broadcast cell's bit for bit.
     """
     n, n1, power = _index_arrays(N)
 
-    def factor(T):
-        if isinstance(T, float):
-            t = math.sqrt(T)
+    def factor(x, of_r: bool):
+        inverse, point = None, isinstance(x, float)
+        if not point:
+            x = np.asarray(x, dtype=float)
+            as_is = x.size == 1 or x.size == (cells := np.broadcast(r, T1, T2)).size
+            if at is not None:
+                x = (x.reshape(-1) if x.size == 1 else x.reshape(-1)[at] if as_is
+                     else np.broadcast_to(x, cells.shape).flat[at])
+            if not as_is:
+                bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+                x, inverse = bits.view(float), inverse.reshape(x.shape)
+            x = x[..., None]
+        if of_r:
+            f = (math.tanh(x) ** n / math.cosh(x) if point
+                 else _each_r(math.tanh, x) ** n / _each_r(math.cosh, x))
         else:
-            T = np.asarray(T, dtype=float)[..., None]
-            t = np.sqrt(T)
-        g = (n1 * T - n) * t**power
-        g[..., :1] = t
-        return g
+            t = math.sqrt(x) if point else np.sqrt(x)
+            f = (n1 * x - n) * t**power
+            f[..., :1] = t
+        return f if inverse is None else f[inverse]
 
-    g1 = factor(T1)
-    g2 = g1 if T2 is T1 else factor(T2)
-    if not isinstance(r, np.ndarray):
-        return math.tanh(r) ** n / math.cosh(r) * g1 * g2
-    rs, inverse = np.unique(r, return_inverse=True)
-    radial = _each_r(math.tanh, rs)[:, None] ** n / _each_r(math.cosh, rs)[:, None]
-    return radial[inverse.reshape(r.shape)] * g1 * g2
+    g1 = factor(T1, False)
+    g2 = g1 if T2 is T1 else factor(T2, False)
+    return factor(r, True) * g1 * g2
 
 
 def closed_spectrum(params: CatalysisParams):
@@ -251,52 +270,45 @@ def closed_spectrum(params: CatalysisParams):
 def closed_entropy(r, T1, T2):
     """Entanglement entropy in bits, broadcast over r, T1 and T2.
 
-    The entropy is the one measure summed over a truncated spectrum.
-    Rows and sweeps take it from here, and report from the per-N kernel
-    _entropy at choose_truncation(params).  Every cell is truncated at
-    the N of its own q = t1 t2 tanh r, by the same table and the same
-    bisect_left as choose_truncation, so a cell's value never depends on
-    the row, grid or block it is evaluated with, and it is report's bit
-    for bit.  Where every cell shares one class, closed_weights runs once
-    on the broadcast operands, so a grid builds its powers once per axis;
-    otherwise once per class, on that class's cells (r, T1, T2) taken 1-D.
+    The one code that acts on the truncation classes.  Every cell is
+    labelled with the class of its own q = t1 t2 tanh r, by the same
+    table and bisect_left as choose_truncation, and each class present
+    is evaluated over its own cells, in chunks of at most ENTROPY_CHUNK
+    weights, by _entropy, the per-N kernel that report calls once.  So a
+    cell's value is report's bit for bit, whatever row, grid, block or
+    chunk holds it, and the working set stays bounded.
 
-    Floats give a numpy float64.  Where the weights' squared norm is not
-    above NORM_FLOOR the entropy is NaN.  Raises ParameterError where
-    make_params does at the smallest or the largest r, T1 and T2, or
-    choose_truncation at some cell.
+    Floats give a numpy float64, and other operands are taken as float
+    arrays.  The entropy is NaN where the weights' squared norm is not
+    above NORM_FLOOR.  Raises ParameterError where make_params does at
+    the smallest or largest r, T1 and T2, or choose_truncation at a cell.
     """
-    T1 = np.asarray(T1, dtype=float)
-    T2 = np.asarray(T2, dtype=float)
+    r, T1, T2 = _operands(r, T1, T2)
     for end in (np.min, np.max):
         make_params(*(float(end(a, initial=0.0)) for a in (r, T1, T2)))
     label = np.searchsorted(CLASS_LIMITS, np.sqrt(T1) * np.sqrt(T2) * _each_r(math.tanh, r))
     if (top := label.max(initial=0)) == len(CLASS_LIMITS):
         choose_truncation(make_params(*(float(a[label == top][0])
                                         for a in np.broadcast_arrays(r, T1, T2))))
-    if label.min(initial=top) == top:
-        return _entropy(r, T1, T2, ENTROPY_CLASSES[top][0])
-    cells = np.broadcast_arrays(r, T1, T2)
     out = np.empty(label.shape)
-    for k in np.unique(label):
-        at = label == k
-        T1k = cells[1][at]
-        T2k = T1k if T2 is T1 else cells[2][at]
-        rk = cells[0][at] if isinstance(r, np.ndarray) else r
-        out[at] = _entropy(rk, T1k, T2k, ENTROPY_CLASSES[k][0])
-    return out
+    for k in range(label.min(initial=top), top + 1):
+        N = ENTROPY_CLASSES[k][0]
+        cells = np.flatnonzero(label == k)
+        step = max(1, ENTROPY_CHUNK // (N + 1))
+        for start in range(0, len(cells), step):
+            at = cells[start:start + step]
+            out.reshape(-1)[at] = _entropy(r, T1, T2, N, at)
+    return out if out.ndim else out[()]
 
 
-def _entropy(r, T1, T2, N: int):
-    """closed_entropy with every cell truncated at N.
-
-    closed_entropy calls it once per class present, and report once at
-    N = choose_truncation(params), skipping the class machinery.  A
-    point's probabilities are 1-D and are normalized in place in one
-    pass; both branches divide by the same norm, so a point's entropy is
-    its cell's in a row or grid of the same N bit for bit.
+def _entropy(r, T1, T2, N: int, at=None):
+    """closed_entropy with every cell truncated at N, at the cells at:
+    there once per chunk of a class, and in report once, at
+    N = choose_truncation(params).  A point's probabilities are 1-D and
+    are normalized in place in one pass; both branches divide by the
+    same norm, so a point's entropy is its cell's bit for bit.
     """
-    p = np.square(closed_weights(r, T1, T2, N))
+    p = np.square(closed_weights(r, T1, T2, N, at))
     norm2 = p.sum(axis=-1)
     if p.ndim == 1:
         if not norm2 > NORM_FLOOR:
@@ -368,8 +380,11 @@ def closed_measures(r, T1, T2):
     carry Q(0) = T1 T2), so T1 T2 = 0 needs no special case.
 
     r, T1 and T2 broadcast (r's tanh and cosh from libm), and floats give
-    floats.  Where p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.
+    floats; any other operand is taken as a float array.  Where
+    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.
     """
+    if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
+        r, T1, T2 = _operands(r, T1, T2)
     if isinstance(r, np.ndarray):
         u, ch2 = _each_r(math.tanh, r), _each_r(lambda x: math.cosh(x) ** 2, r)
     else:

@@ -48,14 +48,11 @@ MEASURES = ("entropy", "epr", "fidelity")
 GRID_CAP = 10**7
 # Working set of one sweep block, in doubles (4 MiB).  closed_measures
 # holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
-# of p_cd, EPR or fidelity cells takes 10,485 of them, enough for a
-# 100 x 100 map.  The entropy's weights are counted at 8 doubles, a
-# conservative bound on the 0.4-3 closed_entropy holds (2^16 weights per
-# block).  Blocks split both axes, and no value depends on their size:
-# each cell's truncation depends on its own q only.
+# takes 10,485 cells of any quantity, enough for a 100 x 100 map; the
+# entropy bounds its weights in closed_entropy's own chunks.  Blocks split
+# both axes, and no value depends on their size or the chunks'.
 SWEEP_BLOCK = 1 << 19
 CLOSED_CELL_DOUBLES = 50
-ENTROPY_WEIGHT_DOUBLES = 8
 R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
 POLISH_POINTS = 129
@@ -74,16 +71,11 @@ def _baseline(quantity: str, r):
 @dataclass(frozen=True)
 class RowMeasures:
     """Measures at the points (r, T1, T2) of a row or a grid block, all
-    three broadcast against each other, each evaluated on first read.
-
-    p_cd, the EPR variance and the fidelity come from closed_measures,
-    with no truncation.  Only the entropy builds weights, through
-    formulas.closed_entropy: each cell is truncated at the N that
-    choose_truncation gives for its own q = t1 t2 tanh r, so it equals
-    report at that point bit for bit, and a property test (test_regions.py,
-    test_entropy_against_40_digit_sums) holds it within 1e-14 of 40-digit
-    sums.  Where the heralding probability underflows, every measure but
-    pcd is NaN.
+    three broadcast against each other, each evaluated on first read:
+    p_cd, the EPR variance and the fidelity from closed_measures, with no
+    truncation, and the entropy from formulas.closed_entropy, which
+    equals report at each point bit for bit.  Where the heralding
+    probability underflows, every measure but pcd is NaN.
     """
 
     r: float | np.ndarray
@@ -229,19 +221,13 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
     """One array per quantity over the grid r x T1 x T2, or r x T along
     T1 = T2 when T2 is None.  Its rows, the r or the (r, T1) pairs in
     row-major order, run along the last T axis.  Each block holds at most
-    SWEEP_BLOCK doubles of working set: CLOSED_CELL_DOUBLES per cell, or
-    ENTROPY_WEIGHT_DOUBLES per weight with the entropy, which builds at
-    most N + 1 weights per cell, N = choose_truncation at the largest r
-    and T.  A block takes whole rows while one fits, else part of one
-    row, and indexes its r and T1 by its row numbers: no axis grows it.
+    SWEEP_BLOCK doubles of working set at CLOSED_CELL_DOUBLES per cell,
+    whatever the quantity (closed_entropy chunks the entropy's weights).
+    A block takes whole rows while one fits, else part of one row, and
+    indexes its r and T1 by its row numbers: no axis grows it.
     """
     axis = T1 if T2 is None else T2
-    params = make_params(float(np.max(r)), float(np.max(T1)), float(np.max(axis)))
-    if "entropy" in quantities:
-        per_cell = ENTROPY_WEIGHT_DOUBLES * (choose_truncation(params) + 1)
-    else:
-        per_cell = CLOSED_CELL_DOUBLES
-    cells = max(1, SWEEP_BLOCK // per_cell)
+    cells = max(1, SWEEP_BLOCK // CLOSED_CELL_DOUBLES)
     rows, cols = max(1, cells // len(axis)), min(len(axis), cells)
     per_r = 1 if T2 is None else len(T1)
     outs = [np.empty((len(r) * per_r, len(axis))) for _ in quantities]
@@ -333,6 +319,7 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     bracket once.  tol must be finite and at least 1 / GRID_CAP.
     """
     _check_search("t_range", quantity, tol)
+    make_params(r, 0.0, 0.0)  # validates r
     step = min(tol, T_SCAN_STEP)
     T = np.concatenate(([0.0], np.arange(step, 1.0, step), [1.0]))
     values, = _blocked_values((quantity,), np.array([r]), T[1:-1])
@@ -378,15 +365,13 @@ class ImplicationTable:
 
 def _audit_deltas(resolution: int):
     """The audits' (r, T) axes, validated before they are built, and the
-    three measures' delta grids over them: the entropy in one pass, and
-    the EPR and fidelity, which share closed_measures, in another."""
+    three measures' delta grids over them, from one pass of blocks."""
     if resolution < 100:
         raise ParameterError(f"resolution must be >= 100, got {resolution}")
     _check_grid(resolution, resolution)
     r_axis = 0.8 * (np.arange(resolution) + 1.0) / resolution
     T_axis = (np.arange(resolution) + 0.5) / resolution
-    values = (_blocked_values(("entropy",), r_axis, T_axis)
-              + _blocked_values(("epr", "fidelity"), r_axis, T_axis))
+    values = _blocked_values(MEASURES, r_axis, T_axis)
     deltas = {q: delta(q, v, _baseline(q, r_axis)[:, None]) for q, v in zip(MEASURES, values)}
     return r_axis, T_axis, deltas
 

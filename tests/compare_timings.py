@@ -1,0 +1,189 @@
+"""Compare two checkouts' outputs and timings in one process.
+
+Usage:
+
+    python3 tests/compare_timings.py PARENT CHANGE [ROUNDS]
+
+PARENT and CHANGE are the roots of two checkouts of this repository.
+Each checkout's src/lqcat is imported under its own package name
+(lqcat_parent and lqcat_change), so both run side by side in this one
+interpreter on the same inputs.
+
+First every operation below runs once per checkout, and its results are
+compared byte for byte: every RegionGrid field, raw and values among
+them, the ThresholdResult fields, the t_range lists, the implication
+entries and the report fields.  The check set also holds the audits at
+resolution 100, 199 and 400 and sweeps at r = 2 and on an r axis whose
+truncation classes mix.  Any difference is printed, and the script exits
+1 before timing.
+
+Then the timed operations run ROUNDS times per checkout (default 16),
+interleaved: every round runs each operation on both sides, the order of
+the operations rotates from round to round, and the side that runs first
+alternates.  A sample repeats its operation as often as fills about
+SAMPLE_SECONDS on the parent.  Per operation it prints the repeats, both
+sides' median time per call, the median of the per-round ratios
+change / parent, and the rounds that the change won.  Set
+OPENBLAS_NUM_THREADS=1 first for steady timings.
+
+Needs numpy; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
+MEASURES = ("entropy", "epr", "fidelity")
+R_MAPS = np.linspace(0.1, 0.8, 8)
+T_SQUARE = np.linspace(0.001, 0.999, 100)
+T_DIAGONAL = np.linspace(0.001, 0.999, 200)
+R_MIXED = np.linspace(0.5, 2.3, 7)
+T_MIXED = np.linspace(0.0, 1.0, 25)
+SAMPLE_SECONDS = 0.02
+POINTS = np.column_stack([np.random.default_rng(17).uniform(0.0, 1.5, 200),
+                          np.random.default_rng(18).uniform(0.01, 1.0, 200),
+                          np.random.default_rng(19).uniform(0.01, 1.0, 200)])
+
+
+def timed_operations() -> dict:
+    """Name -> function of a loaded package, for the operations that are
+    both checked and timed: the maps, the searches and report points."""
+    ops = {
+        "implication_table(200)": lambda m: m.regions.implication_table(200),
+        "common_region(200)": lambda m: m.regions.common_region(200),
+    }
+    for q in QUANTITIES:
+        ops[f"sweep.{q} 8 r x 100 x 100"] = (
+            lambda m, q=q: m.regions.sweep(q, R_MAPS, T_SQUARE, T_SQUARE))
+    for q in QUANTITIES:
+        ops[f"symmetric_sweep.{q} 8 r x 200"] = (
+            lambda m, q=q: m.regions.symmetric_sweep(q, R_MAPS, T_DIAGONAL))
+    ops["sweep.entropy r=2 100 x 100"] = (
+        lambda m: m.regions.sweep("entropy", [2.0], T_SQUARE, T_SQUARE))
+    for q in MEASURES:
+        ops[f"threshold.{q}"] = lambda m, q=q: m.regions.threshold(q)
+    for q in MEASURES:
+        ops[f"t_range.{q} r=0.2"] = lambda m, q=q: m.regions.t_range(q, 0.2)
+    ops["report 200 points"] = lambda m: [
+        m.report.report(m.model.make_params(*p)) for p in POINTS.tolist()]
+    return ops
+
+
+def checked_operations() -> dict:
+    """The timed operations and more inputs, whose results are compared
+    but not timed."""
+    ops = timed_operations()
+    for resolution in (100, 199, 400):
+        ops[f"implication_table({resolution})"] = (
+            lambda m, n=resolution: m.regions.implication_table(n))
+        ops[f"common_region({resolution})"] = (
+            lambda m, n=resolution: m.regions.common_region(n))
+    for q in QUANTITIES:
+        ops[f"sweep.{q} r=2"] = (
+            lambda m, q=q: m.regions.sweep(q, [2.0], T_SQUARE, T_SQUARE))
+        ops[f"sweep.{q} mixed r"] = (
+            lambda m, q=q: m.regions.sweep(q, R_MIXED, T_MIXED, T_MIXED))
+        ops[f"symmetric_sweep.{q} mixed r"] = (
+            lambda m, q=q: m.regions.symmetric_sweep(q, R_MIXED, T_MIXED))
+    for q in MEASURES:
+        for r in (0.05, 0.3, 0.5):
+            ops[f"t_range.{q} r={r}"] = lambda m, q=q, r=r: m.regions.t_range(q, r)
+    return ops
+
+
+def load(root: Path, name: str):
+    """The checkout's src/lqcat imported as the package name, with its
+    modules as attributes."""
+    package = root / "src" / "lqcat"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("model", "regions", "report"):
+        setattr(module, sub, importlib.import_module(f"{name}.{sub}"))
+    return module
+
+
+def canonical(x):
+    """x with every float as its hex string and every array as its
+    dtype, shape and bytes, so equal canonical forms are equal bytes;
+    dataclasses become their class name and fields."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            canonical(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(canonical(v) for v in x)
+    if isinstance(x, float):
+        return float.hex(x)
+    return x
+
+
+def check(sides) -> int:
+    """The number of checked operations whose results differ."""
+    differing = 0
+    for name, op in checked_operations().items():
+        parent, change = (canonical(op(m)) for m in sides)
+        if parent != change:
+            differing += 1
+            print(f"DIFFERS: {name}")
+    print(f"{differing} of {len(checked_operations())} checked operations differ")
+    return differing
+
+
+def time_rounds(sides, rounds: int) -> None:
+    """Each sample repeats its operation to last about SAMPLE_SECONDS on
+    the parent, so short operations are not lost in the timer's noise."""
+    ops = list(timed_operations().items())
+    repeats = {}
+    for name, op in ops:
+        start = time.perf_counter()
+        op(sides[0])
+        repeats[name] = max(1, round(SAMPLE_SECONDS / (time.perf_counter() - start)))
+    times = {name: ([], []) for name, _ in ops}
+    for k in range(rounds):
+        for name, op in ops[k % len(ops):] + ops[:k % len(ops)]:
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                start = time.perf_counter()
+                for _ in range(repeats[name]):
+                    op(sides[side])
+                times[name][side].append((time.perf_counter() - start) / repeats[name])
+    print(f"{'operation':34} {'repeats':>7} {'parent':>10} {'change':>10} {'ratio':>7}  wins")
+    for name, (parent, change) in times.items():
+        ratios = [c / p for p, c in zip(parent, change)]
+        wins = sum(c < p for p, c in zip(parent, change))
+        print(f"{name:34} {repeats[name]:7} {statistics.median(parent) * 1e3:8.2f}ms "
+              f"{statistics.median(change) * 1e3:8.2f}ms "
+              f"{statistics.median(ratios):7.3f}  {wins}/{rounds}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (2, 3):
+        print("usage: python3 tests/compare_timings.py PARENT CHANGE [ROUNDS]",
+              file=sys.stderr)
+        return 2
+    roots = [Path(p).resolve() for p in argv[:2]]
+    for root in roots:
+        if not (root / "src" / "lqcat").is_dir():
+            print(f"{root}: no src/lqcat here", file=sys.stderr)
+            return 2
+    sides = [load(root, name) for root, name in zip(roots, ("lqcat_parent", "lqcat_change"))]
+    if check(sides):
+        return 1
+    time_rounds(sides, int(argv[2]) if len(argv) == 3 else 16)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

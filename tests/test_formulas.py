@@ -187,6 +187,13 @@ class TestClosedMeasures:
                     assert got.shape == (5, 4)
                     assert got[i, j] == pytest.approx(want, rel=1e-14, abs=0.0,
                                                       nan_ok=True)
+        # Lists are taken as arrays; they used to raise a bare TypeError.
+        T = [0.2, 0.5]
+        for lists, arrays in ((((0.9, T1.tolist(), T2.tolist())), (0.9, T1, T2)),
+                              ((0.3, T, T), (0.3, np.array(T), np.array(T))),
+                              (([0.1, 0.2], 0.5, 0.5), (np.array([0.1, 0.2]), 0.5, 0.5))):
+            for got, want in zip(closed_measures(*lists), closed_measures(*arrays)):
+                assert got.tobytes() == want.tobytes(), lists
 
     def test_r_axis_matches_scalar_r(self):
         # numpy's tanh differs from libm's in the last place at the first
@@ -203,6 +210,15 @@ class TestClosedMeasures:
             row = closed_measures(x, T, T) + (closed_entropy(x, T, T),)
             for got, want in zip(grid, row):
                 assert got[i].tobytes() == want.tobytes(), x
+        # Lists are taken as arrays; they used to raise a bare TypeError.
+        lists = (r[:, None].tolist(), T.tolist(), T.tolist())
+        for got, want in zip(closed_measures(*lists) + (closed_entropy(*lists),), grid):
+            assert got.tobytes() == want.tobytes()
+        for args in ((r.tolist(), 0.5, 0.5), (r[:2, None].tolist(), T.tolist(), 0.5)):
+            arrays = [np.array(a) if isinstance(a, list) else a for a in args]
+            assert closed_entropy(*args).tobytes() == closed_entropy(*arrays).tobytes()
+            assert (closed_weights(*args, 30).tobytes()
+                    == closed_weights(*arrays, 30).tobytes())
 
     def test_identity_line(self):
         for r in (0.0, 0.3, 1.0, 2.0):

@@ -1,6 +1,7 @@
 """Tests of sweeps, thresholds, enhancement intervals and the
 implication audit."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from lqcat import regions
+from lqcat import formulas, regions
 from lqcat.formulas import closed_entropy
 from lqcat.model import (
     ENTROPY_CLASSES,
@@ -236,10 +237,12 @@ class TestSweep:
     def test_block_size_does_not_change_values(self, monkeypatch):
         # r = 2 puts the T1 rows in four truncation classes, and the last
         # row of the wide grid in five.  Every block size splits the wide
-        # rows: 1 and 7 doubles give one cell per block, 500 ten fidelity
-        # cells, and 40,000 five entropy cells, whose classes mix.  On the
-        # r axis of `mixed` the T = 1 cells take four classes, and a block
-        # of the default size holds several r; each r slab is the row's.
+        # rows: 1 and 7 doubles give one cell per block, 500 ten cells and
+        # 40,000 800.  closed_entropy's chunks split each class on their
+        # own: 1 weight gives one cell per chunk, and 155 five cells at
+        # N = 30, two at N = 60 and one above, mid-row.  On the r axis of
+        # `mixed` the T = 1 cells take four classes, and a block of the
+        # default size holds several r; each r slab is the row's.
         T1 = np.linspace(0.05, 0.95, 7)
         wide = np.linspace(0.3, 1.0, 40)
         mixed, T = [0.3, 1.0, 2.0, 2.3], np.array([0.0, 0.5, 2 / 3, 1.0])
@@ -255,9 +258,11 @@ class TestSweep:
                     slabs[i], RowMeasures(r, T[:, None], T).values(quantity))
                 np.testing.assert_array_equal(
                     diagonals[i], RowMeasures(r, T, T).values(quantity))
-            for block in (1, 7, 500, 40_000):
+            for block, chunk in itertools.product(
+                    (1, 7, 500, 40_000), (1, 155, formulas.ENTROPY_CHUNK)):
                 with monkeypatch.context() as m:
                     m.setattr(regions, "SWEEP_BLOCK", block)
+                    m.setattr(formulas, "ENTROPY_CHUNK", chunk)
                     assert np.array_equal(sweep(*args).raw, whole), quantity
                     assert np.array_equal(
                         sweep(quantity, [2.0], T1, wide).raw, grid), quantity
@@ -342,19 +347,30 @@ class TestSweep:
 
     def test_symmetric_sweep_is_blocked(self):
         # One unblocked row would hold (len(T), N + 1) weights: a 123 MB
-        # peak at r = 0.8.
-        T = np.linspace(0.001, 0.999, 50_000)
-        for r in (0.8, 2.0):
+        # peak at r = 0.8.  closed_entropy evaluates each class in chunks
+        # of its own, so direct calls are bounded as well: a 300 x 300
+        # grid at r = 0.5 and a 50,000-T symmetric_row at r = 0.8 peaked
+        # at 68.2 and 24.9 MiB when each class was one evaluation.
+        def traced(evaluate):
             tracemalloc.start()
             try:
-                grid = symmetric_sweep("entropy", [r], T)
-                peak = tracemalloc.get_traced_memory()[1]
+                return evaluate(), tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+
+        T = np.linspace(0.001, 0.999, 50_000)
+        for r in (0.8, 2.0):
+            grid, peak = traced(lambda: symmetric_sweep("entropy", [r], T))
             assert peak < 10 << 20
             # Each cell's truncation depends on its own q only, so the
             # blocks change no value.
             assert np.array_equal(grid.raw[0], symmetric_row(r, T).entropy), r
+        row, peak = traced(lambda: symmetric_row(0.8, T).entropy)
+        assert peak < 8 << 20
+        square = np.linspace(0.001, 0.999, 300)
+        grid, peak = traced(lambda: closed_entropy(0.5, square[:, None], square))
+        assert peak < 8 << 20
+        assert np.array_equal(grid[::37], closed_entropy(0.5, square[::37, None], square))
 
     @pytest.mark.parametrize("quantity,r,count,limit", [
         ("pcd", 0.5, 200_000, 12 << 20), ("entropy", 2.0, 4_000, 8 << 20),
@@ -431,6 +447,10 @@ class TestThreshold:
             threshold("pcd")
         with pytest.raises(ParameterError):
             threshold("entropy", tol=0.0)
+        # t_range checks its r itself; the grid evaluator does not.
+        for r in (-0.1, 1000.0, math.nan):
+            with pytest.raises(ParameterError):
+                t_range("epr", r)
 
     def test_refine_finds_a_maximum_between_scan_points(self):
         # The step-1e-3 scan's best EPR delta here is -1.83e-5; the true
