@@ -91,18 +91,28 @@ def _meta_line(no_meta: bool) -> list:
 
 
 def _grid_csv(grid: RegionGrid, no_meta: bool) -> str:
-    """One CSV line per grid cell, row-major; a symmetric grid has T2 = T1."""
+    """One CSV line per grid cell, row-major; a symmetric grid has T2 = T1.
+
+    Each axis value and baseline is formatted once, and each line by one
+    %-format: "%.17g" % x is _fmt(x), nan, inf and -0.0 included.
+    """
     lines = _meta_line(no_meta)
     lines.append(CSV_HEADER)
-    enhanced = grid.enhanced
-    for cell, delta in np.ndenumerate(grid.values):
-        i, j = cell[:2]
-        T2 = grid.axis_T1[j] if grid.axis_T2 is None else grid.axis_T2[cell[2]]
-        lines.append(",".join([
-            _fmt(grid.axis_r[i]), _fmt(grid.axis_T1[j]), _fmt(T2), grid.quantity,
-            _fmt(grid.raw[cell]), _fmt(grid.baselines[i]), _fmt(delta),
-            "true" if enhanced[cell] else "false",
-        ]))
+    r, T1, baselines = ([_fmt(x) for x in axis.tolist()]
+                        for axis in (grid.axis_r, grid.axis_T1, grid.baselines))
+    rows = itertools.product(zip(r, baselines), T1)
+    if grid.axis_T2 is None:
+        cells = ((ri, t, t, base) for (ri, base), t in rows)
+    else:
+        T2 = [_fmt(x) for x in grid.axis_T2.tolist()]
+        cells = ((ri, t1, t2, base)
+                 for ((ri, base), t1), t2 in itertools.product(rows, T2))
+    flags = ("false", "true")
+    for (ri, t1, t2, base), value, delta, enhanced in zip(
+            cells, grid.raw.ravel().tolist(), grid.values.ravel().tolist(),
+            grid.enhanced.ravel().tolist()):
+        lines.append("%s,%s,%s,%s,%.17g,%s,%.17g,%s" % (
+            ri, t1, t2, grid.quantity, value, base, delta, flags[enhanced]))
     return "\n".join(lines) + "\n"
 
 

@@ -193,7 +193,10 @@ def _index_arrays(N: int) -> tuple:
     return arrays
 
 
-# Weights per chunk of closed_entropy, N + 1 per cell: about 4 MiB of working set.
+# Weights per chunk of closed_entropy, N + 1 per cell.  A call's one
+# buffer holds a chunk's weights and terms, at most twice this many
+# doubles (1 MiB); its tables and an as-is factor's temporary hold at
+# most one chunk more.
 ENTROPY_CHUNK = 1 << 16
 
 
@@ -210,7 +213,52 @@ def _each_r(f, r):
     return np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
 
 
-def closed_weights(r, T1, T2, N: int, at=None) -> np.ndarray:
+def _factor(x, N: int, of_r: bool, out=None):
+    """tanh(x)^n / cosh(x) when of_r, else g_n(x), for n = 0..N: of a
+    float, or of each element of a float array along a new last axis,
+    written into out when given."""
+    n, n1, power = _index_arrays(N)
+    if isinstance(x, float):
+        if of_r:
+            return math.tanh(x) ** n / math.cosh(x)
+        t = math.sqrt(x)
+        f = (n1 * x - n) * t**power
+    else:
+        x = x[..., None]
+        if of_r:
+            return np.divide(np.power(_each_r(math.tanh, x), n, out=out),
+                             _each_r(math.cosh, x), out=out)
+        t = np.sqrt(x)
+        f = np.subtract(np.multiply(n1, x, out=out), n, out=out)
+        f *= t**power
+    f[..., :1] = t
+    return f
+
+
+def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
+    """The elements of an operand of operand_shape, broadcast to shape,
+    that the cells at (flat indices in shape) read, and each cell's
+    position among them.  Each cell's element comes from index
+    arithmetic on at, with no sort.  The elements are the span from the
+    smallest to the largest, as a slice, where it holds at most len(at),
+    and else the distinct ones, marked in the span; so there are never
+    more than len(at)."""
+    index, cell_stride, stride = 0, 1, 1
+    padded = (1,) * (len(shape) - len(operand_shape)) + tuple(operand_shape)
+    for size, own in zip(reversed(shape), reversed(padded)):
+        if own > 1:
+            index = index + at // cell_stride % size * stride
+        cell_stride, stride = cell_stride * size, stride * own
+    low, high = int(index.min()), int(index.max())
+    index -= low
+    if high - low < len(at):
+        return slice(low, high + 1), index
+    mark = np.zeros(high - low + 1, dtype=bool)
+    mark[index] = True
+    return np.flatnonzero(mark) + low, (np.cumsum(mark) - 1)[index]
+
+
+def closed_weights(r, T1, T2, N: int, at=None, out=None) -> np.ndarray:
     """Unnormalized weights w~_0 .. w~_N, broadcast over r, T1 and T2.
 
     w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
@@ -219,42 +267,40 @@ def closed_weights(r, T1, T2, N: int, at=None) -> np.ndarray:
     broadcast(r, T1, T2) + (N + 1,), or (len(at), N + 1) at the cells
     whose flat indices in that shape are at.
 
-    One rule builds the factors of r, T1 and T2: once per distinct bit
-    pattern of the operand's values at the cells, then gathered, so a
-    grid pays for the powers once per axis value.  An operand of one
-    element, or of one value per cell, is built as it is, unsorted and
-    gathered at most once, and T2 is T1 builds one factor.  A float is a
-    point: math.sqrt (correctly rounded like np.sqrt) and libm's tanh and
-    cosh, with no array conversion; any other operand is taken as a
-    float array.  Every path does the same operations in the same order,
-    so a point's weights are its broadcast cell's bit for bit.
+    Each operand's factor is built once per element, as it is, and the
+    three multiply as (f_r g1) g2; T2 is T1 builds one factor.  With at,
+    an operand of one element or of one value per cell is built as it is
+    at those cells.  Any other gets a table over the elements that the
+    cells read, found by index arithmetic on at (_touched), so no table
+    has more rows than at, and each cell gathers its row.  out, a
+    (2, len(at), N + 1) float array, then takes the weights in out[0],
+    which is returned, and the gathered rows in out[1], so a caller that
+    reuses it allocates no chunk-sized weights.
+
+    A float is a point: math.sqrt (correctly rounded like np.sqrt) and
+    libm's tanh and cosh, with no array conversion; any other operand is
+    taken as a float array.  Every path does the same operations in the
+    same order, so a point's weights are its broadcast cell's bit for bit.
     """
-    n, n1, power = _index_arrays(N)
+    r, T1, T2 = _operands(r, T1, T2)
+    if at is None:
+        g1 = _factor(T1, N, False)
+        return _factor(r, N, True) * g1 * (g1 if T2 is T1 else _factor(T2, N, False))
+    shape = np.broadcast_shapes(np.shape(r), np.shape(T1), np.shape(T2))
+    if out is None:
+        out = np.empty((2, len(at), N + 1))
 
-    def factor(x, of_r: bool):
-        inverse, point = None, isinstance(x, float)
-        if not point:
-            x = np.asarray(x, dtype=float)
-            as_is = x.size == 1 or x.size == (cells := np.broadcast(r, T1, T2)).size
-            if at is not None:
-                x = (x.reshape(-1) if x.size == 1 else x.reshape(-1)[at] if as_is
-                     else np.broadcast_to(x, cells.shape).flat[at])
-            if not as_is:
-                bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-                x, inverse = bits.view(float), inverse.reshape(x.shape)
-            x = x[..., None]
-        if of_r:
-            f = (math.tanh(x) ** n / math.cosh(x) if point
-                 else _each_r(math.tanh, x) ** n / _each_r(math.cosh, x))
-        else:
-            t = math.sqrt(x) if point else np.sqrt(x)
-            f = (n1 * x - n) * t**power
-            f[..., :1] = t
-        return f if inverse is None else f[inverse]
+    def rows(x, of_r: bool, into):
+        if isinstance(x, float) or x.size == 1:
+            return _factor(x if isinstance(x, float) else x.reshape(-1), N, of_r)
+        if x.size == math.prod(shape):
+            return _factor(x.reshape(-1)[at], N, of_r, into)
+        elements, inverse = _touched(x.shape, shape, at)
+        return np.take(_factor(x.reshape(-1)[elements], N, of_r), inverse,
+                       axis=0, out=into, mode="clip")
 
-    g1 = factor(T1, False)
-    g2 = g1 if T2 is T1 else factor(T2, False)
-    return factor(r, True) * g1 * g2
+    w = np.multiply(rows(r, True, out[0]), g1 := rows(T1, False, out[1]), out=out[0])
+    return np.multiply(w, g1 if T2 is T1 else rows(T2, False, out[1]), out=w)
 
 
 def closed_spectrum(params: CatalysisParams):
@@ -274,8 +320,11 @@ def closed_entropy(r, T1, T2):
     labelled with the class of its own q = t1 t2 tanh r, by the same
     table and bisect_left as choose_truncation, and each class present
     is evaluated over its own cells, in chunks of at most ENTROPY_CHUNK
-    weights, by _entropy, the per-N kernel that report calls once.  So a
-    cell's value is report's bit for bit, whatever row, grid, block or
+    weights, by _entropy, the per-N kernel that report calls once.  Each
+    chunk builds its factor tables over the operand elements that its
+    cells read (closed_weights), and every chunk writes its weights and
+    terms into one buffer per call, which serves each class in turn.  So
+    a cell's value is report's bit for bit, whatever row, grid, block or
     chunk holds it, and the working set stays bounded.
 
     Floats give a numpy float64, and other operands are taken as float
@@ -291,24 +340,31 @@ def closed_entropy(r, T1, T2):
         choose_truncation(make_params(*(float(a[label == top][0])
                                         for a in np.broadcast_arrays(r, T1, T2))))
     out = np.empty(label.shape)
+    classes = []
     for k in range(label.min(initial=top), top + 1):
-        N = ENTROPY_CLASSES[k][0]
-        cells = np.flatnonzero(label == k)
-        step = max(1, ENTROPY_CHUNK // (N + 1))
-        for start in range(0, len(cells), step):
-            at = cells[start:start + step]
-            out.reshape(-1)[at] = _entropy(r, T1, T2, N, at)
+        if len(cells := np.flatnonzero(label == k)):
+            N = ENTROPY_CLASSES[k][0]
+            classes.append((N, cells, min(max(1, ENTROPY_CHUNK // (N + 1)), len(cells))))
+    # One buffer serves each class in turn, as its chunks' weights and terms.
+    buffer = np.empty(max((2 * chunk * (N + 1) for N, _, chunk in classes), default=0))
+    for N, cells, chunk in classes:
+        buffers = buffer[:2 * chunk * (N + 1)].reshape(2, chunk, N + 1)
+        for start in range(0, len(cells), chunk):
+            at = cells[start:start + chunk]
+            out.reshape(-1)[at] = _entropy(r, T1, T2, N, at, buffers[:, :len(at)])
     return out if out.ndim else out[()]
 
 
-def _entropy(r, T1, T2, N: int, at=None):
+def _entropy(r, T1, T2, N: int, at=None, out=None):
     """closed_entropy with every cell truncated at N, at the cells at:
-    there once per chunk of a class, and in report once, at
-    N = choose_truncation(params).  A point's probabilities are 1-D and
-    are normalized in place in one pass; both branches divide by the
-    same norm, so a point's entropy is its cell's bit for bit.
+    there once per chunk of a class, into its buffers out (see
+    closed_weights), and in report once, at N = choose_truncation(params).
+    The probabilities are the weights squared in place.  A point's are
+    1-D and are normalized in one pass; both branches divide by the same
+    norm, so a point's entropy is its cell's bit for bit.
     """
-    p = np.square(closed_weights(r, T1, T2, N, at))
+    p = closed_weights(r, T1, T2, N, at, out)
+    np.square(p, out=p)
     norm2 = p.sum(axis=-1)
     if p.ndim == 1:
         if not norm2 > NORM_FLOOR:
@@ -317,7 +373,7 @@ def _entropy(r, T1, T2, N: int, at=None):
         return entropy_bits(p)
     resolvable = norm2 > NORM_FLOOR
     p /= np.where(resolvable, norm2, 1.0)[..., None]
-    return np.where(resolvable, entropy_bits(p), np.nan)
+    return np.where(resolvable, entropy_bits(p, None if out is None else out[1]), np.nan)
 
 
 def _tail_basis(z, degree: int) -> list:

@@ -48,9 +48,11 @@ MEASURES = ("entropy", "epr", "fidelity")
 GRID_CAP = 10**7
 # Working set of one sweep block, in doubles (4 MiB).  closed_measures
 # holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
-# takes 10,485 cells of any quantity, enough for a 100 x 100 map; the
-# entropy bounds its weights in closed_entropy's own chunks.  Blocks split
-# both axes, and no value depends on their size or the chunks'.
+# takes 10,485 cells of any quantity, enough for a 100 x 100 map, or for
+# two r of the 5,050 pairs T1 <= T2 that the triangle of equal 100-T axes
+# evaluates; the entropy bounds its weights in closed_entropy's own
+# chunks.  Blocks split both axes, and no value depends on their size or
+# the chunks'.
 SWEEP_BLOCK = 1 << 19
 CLOSED_CELL_DOUBLES = 50
 R_BRACKET = (0.01, 2.0)
@@ -168,6 +170,12 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     oracle route exists as a cross-check and is much slower.  Output ordering
     is row-major over (r, T1, T2).  Points whose heralding probability
     underflows are reported as NaN.
+
+    Where the T1 and T2 axes are equal bit for bit (so 0.0 and -0.0
+    differ) and the quantity is not the entropy, the closed form
+    evaluates only the cells T1 <= T2 and mirrors each value, which is
+    exact because p_cd, the EPR variance and the fidelity are
+    swap-symmetric bit for bit (see _blocked_values).
     """
     if engine not in ("closed_form", "oracle"):
         raise ParameterError(f"unknown engine {engine!r}")
@@ -219,26 +227,65 @@ def _sweep(quantity: str, r_values, T1_values, T2_values, engine: str):
 def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
                     T2: np.ndarray | None = None) -> list:
     """One array per quantity over the grid r x T1 x T2, or r x T along
-    T1 = T2 when T2 is None.  Its rows, the r or the (r, T1) pairs in
-    row-major order, run along the last T axis.  Each block holds at most
-    SWEEP_BLOCK doubles of working set at CLOSED_CELL_DOUBLES per cell,
-    whatever the quantity (closed_entropy chunks the entropy's weights).
-    A block takes whole rows while one fits, else part of one row, and
-    indexes its r and T1 by its row numbers: no axis grows it.
+    T1 = T2 when T2 is None.
+
+    The grid is evaluated as a table of rows and columns:
+    * symmetric: rows are the r, columns the T, each cell (T, T);
+    * general: rows are the (r, T1) pairs in row-major order, columns
+      the T2;
+    * triangle: where the T1 and T2 axes are equal bit for bit and no
+      quantity is the entropy, rows are the r and columns the pairs
+      (T[i], T[j]) with i <= j, in row-major order.  Each value is
+      written to both (i, j) and (j, i): closed_measures pairs T1 with
+      T2 only through commutative + and *, so it is swap-symmetric bit
+      for bit.  The entropy's weights (tanh^n / cosh r g1) g2 are not,
+      so it keeps the whole grid.
+
+    Each block holds at most SWEEP_BLOCK doubles of working set at
+    CLOSED_CELL_DOUBLES per cell, whatever the quantity (closed_entropy
+    chunks the entropy's weights).  A block takes whole rows while one
+    fits, else part of one row, and indexes its operands by its row and
+    column numbers: no array but the outputs is larger than an axis or
+    a block.
     """
-    axis = T1 if T2 is None else T2
+    n = len(T1)
+    if T2 is None:
+        shape = table = len(r), n
+
+        def block(rows, cols):
+            T = T1[cols]
+            return RowMeasures(r=r[rows, None], T1=T, T2=T), (cols,)
+    elif "entropy" not in quantities and np.array_equal(T1.view(np.int64),
+                                                        T2.view(np.int64)):
+        shape, table = (len(r), n * n), (len(r), n * (n + 1) // 2)
+        # Row i of the triangle starts with pair number i n - i (i - 1) / 2.
+        i = np.arange(n)
+        first = i * n - i * (i - 1) // 2
+
+        def block(rows, cols):
+            pairs = np.arange(cols.start, cols.stop)
+            i = np.searchsorted(first, pairs, side="right") - 1
+            j = pairs - first[i] + i
+            return (RowMeasures(r=r[rows, None], T1=T1[i], T2=T1[j]),
+                    (i * n + j, j * n + i))
+    else:
+        shape = table = len(r) * n, len(T2)
+
+        def block(rows, cols):
+            i, j = divmod(np.arange(rows.start, rows.stop), n)
+            return RowMeasures(r=r[i, None], T1=T1[j, None], T2=T2[cols]), (cols,)
     cells = max(1, SWEEP_BLOCK // CLOSED_CELL_DOUBLES)
-    rows, cols = max(1, cells // len(axis)), min(len(axis), cells)
-    per_r = 1 if T2 is None else len(T1)
-    outs = [np.empty((len(r) * per_r, len(axis))) for _ in quantities]
-    for start in range(0, len(outs[0]), rows):
-        i, j = divmod(np.arange(start, min(start + rows, len(outs[0]))), per_r)
-        for k in range(0, len(axis), cols):
-            Tk = axis[k:k + cols]
-            block = RowMeasures(r=r[i, None], T1=Tk if T2 is None else T1[j, None], T2=Tk)
+    rows, cols = max(1, cells // table[1]), min(table[1], cells)
+    outs = [np.empty(shape) for _ in quantities]
+    for start in range(0, table[0], rows):
+        row_slice = slice(start, min(start + rows, table[0]))
+        for k in range(0, table[1], cols):
+            block_values, places = block(row_slice, slice(k, min(k + cols, table[1])))
             for out, quantity in zip(outs, quantities):
-                out[start:start + rows, k:k + cols] = block.values(quantity)
-    return [out if T2 is None else out.reshape(len(r), per_r, -1) for out in outs]
+                values = block_values.values(quantity)
+                for place in places:
+                    out[row_slice, place] = values
+    return [out if T2 is None else out.reshape(len(r), n, -1) for out in outs]
 
 
 @dataclass(frozen=True)

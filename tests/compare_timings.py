@@ -12,9 +12,10 @@ interpreter on the same inputs.
 First every operation below runs once per checkout, and its results are
 compared byte for byte: every RegionGrid field, raw and values among
 them, the ThresholdResult fields, the t_range lists, the implication
-entries and the report fields.  The check set also holds the audits at
-resolution 100, 199 and 400 and sweeps at r = 2 and on an r axis whose
-truncation classes mix.  Any difference is printed, and the script exits
+entries and the report fields.  Both sets hold general sweeps on equal
+T1 and T2 axes and one on unequal axes.  The check set also holds the
+audits at resolution 100, 199 and 400 and sweeps at r = 2 and on an r
+axis whose truncation classes mix.  Any difference is printed, and the script exits
 1 before timing.
 
 Then the timed operations run ROUNDS times per checkout (default 16),
@@ -45,6 +46,7 @@ QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
 MEASURES = ("entropy", "epr", "fidelity")
 R_MAPS = np.linspace(0.1, 0.8, 8)
 T_SQUARE = np.linspace(0.001, 0.999, 100)
+T_OTHER = np.linspace(0.002, 0.998, 99)
 T_DIAGONAL = np.linspace(0.001, 0.999, 200)
 R_MIXED = np.linspace(0.5, 2.3, 7)
 T_MIXED = np.linspace(0.0, 1.0, 25)
@@ -64,6 +66,9 @@ def timed_operations() -> dict:
     for q in QUANTITIES:
         ops[f"sweep.{q} 8 r x 100 x 100"] = (
             lambda m, q=q: m.regions.sweep(q, R_MAPS, T_SQUARE, T_SQUARE))
+    # Unequal axes: the whole grid, where equal ones take their triangle.
+    ops["sweep.fidelity 8 r x 100 x 99"] = (
+        lambda m: m.regions.sweep("fidelity", R_MAPS, T_SQUARE, T_OTHER))
     for q in QUANTITIES:
         ops[f"symmetric_sweep.{q} 8 r x 200"] = (
             lambda m, q=q: m.regions.symmetric_sweep(q, R_MAPS, T_DIAGONAL))

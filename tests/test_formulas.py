@@ -284,6 +284,22 @@ class TestSchmidtWeights:
                     point = closed_weights(1.7, a, b, N)
                     assert point.tobytes() == grid[i, j].tobytes(), (a, b)
 
+    def test_cells_at_are_the_broadcast_cells(self):
+        # With at, each operand's factor table covers the elements that
+        # the cells read: a slice of its span where the cells are dense,
+        # the marked elements where they are sparse.  Either way each
+        # cell's weights are the broadcast call's bit for bit.
+        r = np.array([0.3, 1.1, 2.0])[:, None, None]
+        T1 = np.array([0.0, 0.4, 2 / 3, 1.0])[:, None]
+        T2 = np.array([0.2, 0.5, 0.7, 0.9, 1.0])
+        for operands in ((r, T1, T2), (r, T2, T2), (1.1, T1, T2[1:2])):
+            whole = closed_weights(*operands, 30).reshape(-1, 31)
+            for at in (np.arange(60), np.arange(7, 19), np.array([0, 13, 59]),
+                       np.array([4, 5, 6, 25, 26, 27, 46])):
+                at = np.unique(at % len(whole))
+                got = closed_weights(*operands, 30, at)
+                assert got.tobytes() == whole[at].tobytes()
+
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)
         spec, p = closed_spectrum(params)

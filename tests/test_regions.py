@@ -12,7 +12,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lqcat import formulas, regions
-from lqcat.formulas import closed_entropy
+from lqcat.formulas import closed_entropy, closed_measures
 from lqcat.model import (
     ENTROPY_CLASSES,
     MAX_TRUNCATION,
@@ -276,6 +276,84 @@ class TestSweep:
         q = np.sqrt(T1[-1] * wide) * math.tanh(2.0)
         assert len(set(np.searchsorted(limits, q).tolist())) == 5
         assert len(set(np.searchsorted(limits, np.tanh(mixed)).tolist())) == 4
+
+    @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
+    @pytest.mark.parametrize("r,T", [
+        # T = 0 and 1; the cells (0, 1/2) and (1/2, 0) have no weight.
+        ([0.3, 1.2, 2.0], [0.0, 0.25, 0.5, 2 / 3, 0.9, 1.0]),
+        # At r = 350 p_cd underflows at every cell: all NaN.
+        ([0.3, 350.0], [0.0, 0.2, 0.5, 2 / 3, 0.9])])
+    def test_equal_axes_evaluate_the_triangle(self, quantity, r, T, monkeypatch):
+        # On equal T1 and T2 axes only the T1 <= T2 cells are evaluated,
+        # and each value is mirrored.  closed_measures is swap-symmetric
+        # bit for bit, so at every block size the grid is the whole
+        # evaluation's, NaN cells included.
+        r, T = np.array(r), np.array(T)
+        whole = RowMeasures(r[:, None, None], T[:, None], T).values(quantity)
+        if quantity != "pcd":
+            assert np.isnan(whole).any() and not np.isnan(whole[0]).all()
+        blocks = []
+        monkeypatch.setattr(regions, "RowMeasures",
+                            lambda **kw: blocks.append(kw) or RowMeasures(**kw))
+        for block in (1, 7, 500, 40_000, regions.SWEEP_BLOCK):
+            blocks.clear()
+            with monkeypatch.context() as m:
+                m.setattr(regions, "SWEEP_BLOCK", block)
+                grid = sweep(quantity, r, T, T.copy())
+            assert grid.raw.tobytes() == whole.tobytes(), block
+            cells = sum(np.broadcast(*kw.values()).size for kw in blocks)
+            assert cells == len(r) * len(T) * (len(T) + 1) // 2, block
+
+    @example(0.7, 0.0, 0.4)
+    @example(1.9, 1.0, 0.3)
+    @example(0.4, 0.0, 0.5)
+    # Large r: p_cd underflows, so the EPR variance and F are NaN.
+    @example(350.0, 0.2, 0.9)
+    @given(st.floats(0.0, 15.0), special_T, special_T)
+    @settings(max_examples=100, deadline=None)
+    @seed(18)
+    def test_closed_measures_are_swap_symmetric(self, r, T1, T2):
+        # The triangle mirrors each value, so it needs (T1, T2) and
+        # (T2, T1) to give the same bytes, as points and as a grid row.
+        for got, want in zip(closed_measures(r, T1, T2), closed_measures(r, T2, T1)):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        row = np.array([[r]]), np.array([T1, T2]), np.array([T2, T1])
+        for values in closed_measures(*row):
+            assert values[0, 0].tobytes() == values[0, 1].tobytes()
+
+    @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
+    def test_signed_zeros_are_unequal_axes(self, quantity, monkeypatch):
+        # 0.0 == -0.0, but the axes differ in their bit patterns, so the
+        # sweep evaluates every cell.
+        r = np.array([0.3, 0.9])
+        zero, signed = np.array([0.0, 0.5, 1.0]), np.array([-0.0, 0.5, 1.0])
+        blocks = []
+        monkeypatch.setattr(regions, "RowMeasures",
+                            lambda **kw: blocks.append(kw) or RowMeasures(**kw))
+        for T1, T2 in ((zero, signed), (signed, zero)):
+            blocks.clear()
+            grid = sweep(quantity, r, T1, T2)
+            whole = RowMeasures(r[:, None, None], T1[:, None], T2).values(quantity)
+            assert grid.raw.tobytes() == whole.tobytes()
+            assert sum(np.broadcast(*kw.values()).size for kw in blocks) == whole.size
+
+    def test_triangle_is_blocked(self):
+        # 1,500 equal T hold 1.1 M pairs: evaluated whole, the triangle
+        # would hold about 450 MB, and its pair indices alone 18 MB.
+        def traced(evaluate):
+            tracemalloc.start()
+            try:
+                return evaluate(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        T = np.linspace(0.001, 0.999, 1500)
+        grid, peak = traced(lambda: sweep("pcd", [0.5], T, T))
+        assert peak < grid.raw.nbytes + grid.values.nbytes + (8 << 20)
+        # The evaluation alone, above its one output (measured: 4.6 MiB).
+        (raw,), peak = traced(lambda: regions._blocked_values(("pcd",), np.array([0.5]), T, T))
+        assert peak < raw.nbytes + (8 << 20)
+        assert np.array_equal(raw[0, ::149], RowMeasures(0.5, T[::149, None], T).pcd)
 
     def test_engines_agree(self):
         for quantity in ("entropy", "epr", "fidelity", "pcd"):
