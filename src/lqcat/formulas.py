@@ -162,7 +162,7 @@ def success_probability(params: CatalysisParams) -> float:
     (published_success_probability) agrees mathematically but loses up
     to ~4e-12 relative accuracy at large r.
     """
-    return check_norm(closed_measures(params.r, params.T1, params.T2)[0])
+    return check_norm(closed_head(params.r, params.T1, params.T2)[0])
 
 
 def published_success_probability(params: CatalysisParams) -> float:
@@ -195,8 +195,8 @@ def _index_arrays(N: int) -> tuple:
 
 # Weights per chunk of closed_entropy, N + 1 per cell.  A call's one
 # buffer holds a chunk's weights and terms, at most twice this many
-# doubles (1 MiB); its tables and an as-is factor's temporary hold at
-# most one chunk more.
+# doubles (1 MiB).  Each operand's factor table holds at most this many
+# doubles too, and so does an as-is factor's temporary.
 ENTROPY_CHUNK = 1 << 16
 
 
@@ -235,20 +235,35 @@ def _factor(x, N: int, of_r: bool, out=None):
     return f
 
 
-def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
-    """The elements of an operand of operand_shape, broadcast to shape,
-    that the cells at (flat indices in shape) read, and each cell's
-    position among them.  Each cell's element comes from index
-    arithmetic on at, with no sort.  The elements are the span from the
-    smallest to the largest, as a slice, where it holds at most len(at),
-    and else the distinct ones, marked in the span; so there are never
-    more than len(at)."""
+def _element_index(operand_shape: tuple, shape: tuple, at: np.ndarray):
+    """The flat index into an operand of operand_shape, broadcast to
+    shape, of the element that each cell at (flat indices in shape)
+    reads, by index arithmetic on at."""
     index, cell_stride, stride = 0, 1, 1
     padded = (1,) * (len(shape) - len(operand_shape)) + tuple(operand_shape)
     for size, own in zip(reversed(shape), reversed(padded)):
         if own > 1:
             index = index + at // cell_stride % size * stride
         cell_stride, stride = cell_stride * size, stride * own
+    return index
+
+
+def _at_cells(x, shape: tuple, at: np.ndarray):
+    """x's element at each cell at (flat indices in shape); a float or
+    one-element x as its one element."""
+    if isinstance(x, np.ndarray) and x.size > 1:
+        return x.reshape(-1)[_element_index(x.shape, shape, at)]
+    return np.reshape(x, -1)
+
+
+def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
+    """The elements of an operand of operand_shape, broadcast to shape,
+    that the cells at read, and each cell's position among them, with
+    no sort.  The elements are the span from the smallest to the
+    largest, as a slice, where it holds at most len(at), and else the
+    distinct ones, marked in the span; so there are never more than
+    len(at)."""
+    index = _element_index(operand_shape, shape, at)
     low, high = int(index.min()), int(index.max())
     index -= low
     if high - low < len(at):
@@ -258,7 +273,49 @@ def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
     return np.flatnonzero(mark) + low, (np.cumsum(mark) - 1)[index]
 
 
-def closed_weights(r, T1, T2, N: int, at=None, out=None) -> np.ndarray:
+def _rows(x, N: int, of_r: bool, shape: tuple, cells: np.ndarray):
+    """x's factor (see _factor) at each of the cells, flat indices in
+    shape, as a function of a slice of cells and an out array of their
+    rows.  A float or one-element x has one row, built here and shared.
+    An x of one value per cell is built as it is at the slice's cells,
+    into out.  Any other x gets a table over the elements that all the
+    cells read (_touched), built here once where it holds at most
+    ENTROPY_CHUNK doubles, else once per slice over that slice's
+    elements; each slice gathers its rows into out."""
+    if isinstance(x, float) or x.size == 1:
+        row = _factor(x if isinstance(x, float) else x.reshape(-1), N, of_r)
+        return lambda part, out: row
+    flat = x.reshape(-1)
+    if x.size == math.prod(shape):
+        return lambda part, out: _factor(flat[cells[part]], N, of_r, out)
+    elements, inverse = _touched(x.shape, shape, cells)
+    if (values := flat[elements]).size * (N + 1) <= ENTROPY_CHUNK:
+        table = _factor(values, N, of_r)
+        return lambda part, out: np.take(table, inverse[part], axis=0, out=out, mode="clip")
+
+    def rows(part, out):
+        own, index = _touched(x.shape, shape, cells[part])
+        return np.take(_factor(flat[own], N, of_r), index, axis=0, out=out, mode="clip")
+    return rows
+
+
+def _weights_at(r, T1, T2, N: int, shape: tuple, cells: np.ndarray):
+    """closed_weights at the cells, flat indices in shape, as a function
+    of a slice of cells and a (2, its length, N + 1) float array out: it
+    writes their weights f_r (g1 g2) into out[0], which it returns, and
+    uses out[1] for the rows it gathers.  Each operand's rows come from
+    _rows, so its tables are built once for every slice."""
+    f_r, g1 = _rows(r, N, True, shape, cells), _rows(T1, N, False, shape, cells)
+    g2 = g1 if T2 is T1 else _rows(T2, N, False, shape, cells)
+
+    def weights(part, out):
+        g = g1(part, out[0])
+        g = np.multiply(g, g if g2 is g1 else g2(part, out[1]), out=out[0])
+        return np.multiply(f_r(part, out[1]), g, out=out[0])
+    return weights
+
+
+def closed_weights(r, T1, T2, N: int, at=None) -> np.ndarray:
     """Unnormalized weights w~_0 .. w~_N, broadcast over r, T1 and T2.
 
     w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
@@ -268,39 +325,28 @@ def closed_weights(r, T1, T2, N: int, at=None, out=None) -> np.ndarray:
     whose flat indices in that shape are at.
 
     Each operand's factor is built once per element, as it is, and the
-    three multiply as (f_r g1) g2; T2 is T1 builds one factor.  With at,
-    an operand of one element or of one value per cell is built as it is
-    at those cells.  Any other gets a table over the elements that the
-    cells read, found by index arithmetic on at (_touched), so no table
-    has more rows than at, and each cell gathers its row.  out, a
-    (2, len(at), N + 1) float array, then takes the weights in out[0],
-    which is returned, and the gathered rows in out[1], so a caller that
-    reuses it allocates no chunk-sized weights.
+    three multiply as f_r (g1 g2); T2 is T1 builds one factor.  The two
+    beam splitters' factors meet in one commutative product, so every
+    weight is swap-symmetric bit for bit.  With at, an operand of one
+    element or of one value per cell is built as it is at those cells,
+    and any other gets a table over the elements that the cells read,
+    found by index arithmetic on at (_touched), so no table has more
+    rows than at, and each cell gathers its row (_weights_at, which
+    closed_entropy calls chunk by chunk into one reused buffer).
 
     A float is a point: math.sqrt (correctly rounded like np.sqrt) and
     libm's tanh and cosh, with no array conversion; any other operand is
     taken as a float array.  Every path does the same operations in the
     same order, so a point's weights are its broadcast cell's bit for bit.
     """
-    r, T1, T2 = _operands(r, T1, T2)
+    if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
+        r, T1, T2 = _operands(r, T1, T2)
     if at is None:
         g1 = _factor(T1, N, False)
-        return _factor(r, N, True) * g1 * (g1 if T2 is T1 else _factor(T2, N, False))
+        return _factor(r, N, True) * (g1 * (g1 if T2 is T1 else _factor(T2, N, False)))
+    at = np.asarray(at)
     shape = np.broadcast_shapes(np.shape(r), np.shape(T1), np.shape(T2))
-    if out is None:
-        out = np.empty((2, len(at), N + 1))
-
-    def rows(x, of_r: bool, into):
-        if isinstance(x, float) or x.size == 1:
-            return _factor(x if isinstance(x, float) else x.reshape(-1), N, of_r)
-        if x.size == math.prod(shape):
-            return _factor(x.reshape(-1)[at], N, of_r, into)
-        elements, inverse = _touched(x.shape, shape, at)
-        return np.take(_factor(x.reshape(-1)[elements], N, of_r), inverse,
-                       axis=0, out=into, mode="clip")
-
-    w = np.multiply(rows(r, True, out[0]), g1 := rows(T1, False, out[1]), out=out[0])
-    return np.multiply(w, g1 if T2 is T1 else rows(T2, False, out[1]), out=w)
+    return _weights_at(r, T1, T2, N, shape, at)(slice(None), np.empty((2, len(at), N + 1)))
 
 
 def closed_spectrum(params: CatalysisParams):
@@ -313,57 +359,75 @@ def closed_spectrum(params: CatalysisParams):
     return normalize_weights(raw)
 
 
-def closed_entropy(r, T1, T2):
-    """Entanglement entropy in bits, broadcast over r, T1 and T2.
+def closed_entropy(r, T1, T2, at=None):
+    """Entanglement entropy in bits, broadcast over r, T1 and T2, or at
+    the cells whose flat indices in that broadcast shape are at.
 
     The one code that acts on the truncation classes.  Every cell is
     labelled with the class of its own q = t1 t2 tanh r, by the same
     table and bisect_left as choose_truncation, and each class present
     is evaluated over its own cells, in chunks of at most ENTROPY_CHUNK
     weights, by _entropy, the per-N kernel that report calls once.  Each
-    chunk builds its factor tables over the operand elements that its
-    cells read (closed_weights), and every chunk writes its weights and
-    terms into one buffer per call, which serves each class in turn.  So
-    a cell's value is report's bit for bit, whatever row, grid, block or
-    chunk holds it, and the working set stays bounded.
+    class builds the factor tables of the operand elements that its
+    cells read once, where they fit ENTROPY_CHUNK, and its chunks gather
+    from them (_weights_at); every chunk writes its weights and terms
+    into one buffer per call, which serves each class in turn.  So a
+    cell's value is report's bit for bit, whatever row, grid, block,
+    chunk or set of cells holds it, and the working set stays bounded.
+    With at, only the cells at are labelled and evaluated: the tables of
+    the triangle T1 <= T2 of equal axes then hold one row per T, not one
+    per pair.  The weights are swap-symmetric bit for bit, so the
+    entropy is too.
 
-    Floats give a numpy float64, and other operands are taken as float
-    arrays.  The entropy is NaN where the weights' squared norm is not
-    above NORM_FLOOR.  Raises ParameterError where make_params does at
-    the smallest or largest r, T1 and T2, or choose_truncation at a cell.
+    Floats give a numpy float64, at gives an array of its length, and
+    other operands are taken as float arrays.  The entropy is NaN where
+    the weights' squared norm is not above NORM_FLOOR.  Raises
+    ParameterError where make_params does at the smallest or largest r,
+    T1 and T2, or choose_truncation at a cell.
     """
     r, T1, T2 = _operands(r, T1, T2)
     for end in (np.min, np.max):
         make_params(*(float(end(a, initial=0.0)) for a in (r, T1, T2)))
-    label = np.searchsorted(CLASS_LIMITS, np.sqrt(T1) * np.sqrt(T2) * _each_r(math.tanh, r))
+    shape = np.broadcast_shapes(np.shape(r), np.shape(T1), np.shape(T2))
+    if at is None:
+        q = np.sqrt(T1) * np.sqrt(T2) * _each_r(math.tanh, r)
+    else:
+        at = np.asarray(at)
+        q = np.broadcast_to(_at_cells(np.sqrt(T1), shape, at) * _at_cells(np.sqrt(T2), shape, at)
+                            * _at_cells(_each_r(math.tanh, r), shape, at), at.shape)
+    label = np.searchsorted(CLASS_LIMITS, q).reshape(-1)
     if (top := label.max(initial=0)) == len(CLASS_LIMITS):
-        choose_truncation(make_params(*(float(a[label == top][0])
-                                        for a in np.broadcast_arrays(r, T1, T2))))
+        cell = np.flatnonzero(label == top)[:1]
+        cell = cell if at is None else at[cell]
+        choose_truncation(make_params(*(float(_at_cells(a, shape, cell)[0])
+                                        for a in (r, T1, T2))))
     out = np.empty(label.shape)
     classes = []
     for k in range(label.min(initial=top), top + 1):
-        if len(cells := np.flatnonzero(label == k)):
+        if len(part := np.flatnonzero(label == k)):
             N = ENTROPY_CLASSES[k][0]
-            classes.append((N, cells, min(max(1, ENTROPY_CHUNK // (N + 1)), len(cells))))
+            classes.append((N, part, min(max(1, ENTROPY_CHUNK // (N + 1)), len(part))))
     # One buffer serves each class in turn, as its chunks' weights and terms.
     buffer = np.empty(max((2 * chunk * (N + 1) for N, _, chunk in classes), default=0))
-    for N, cells, chunk in classes:
+    for N, part, chunk in classes:
         buffers = buffer[:2 * chunk * (N + 1)].reshape(2, chunk, N + 1)
-        for start in range(0, len(cells), chunk):
-            at = cells[start:start + chunk]
-            out.reshape(-1)[at] = _entropy(r, T1, T2, N, at, buffers[:, :len(at)])
-    return out if out.ndim else out[()]
+        weights = _weights_at(r, T1, T2, N, shape, part if at is None else at[part])
+        for start in range(0, len(part), chunk):
+            into = buffers[:, :len(part[start:start + chunk])]
+            out[part[start:start + chunk]] = _entropy(
+                weights(slice(start, start + chunk), into), into[1])
+    return out.reshape(shape)[()] if at is None else out
 
 
-def _entropy(r, T1, T2, N: int, at=None, out=None):
-    """closed_entropy with every cell truncated at N, at the cells at:
-    there once per chunk of a class, into its buffers out (see
-    closed_weights), and in report once, at N = choose_truncation(params).
-    The probabilities are the weights squared in place.  A point's are
-    1-D and are normalized in one pass; both branches divide by the same
-    norm, so a point's entropy is its cell's bit for bit.
+def _entropy(p, terms=None):
+    """Entropy in bits of the weights p along their last axis: the
+    per-N kernel of closed_entropy's chunks, and of report at one point,
+    with N = choose_truncation(params).  The probabilities are p squared
+    in place, and terms, an array of p's shape, holds entropy_bits'
+    terms where given.  A point's weights are 1-D and are normalized in
+    one pass; both branches divide by the same norm, so a point's
+    entropy is its cell's bit for bit.
     """
-    p = closed_weights(r, T1, T2, N, at, out)
     np.square(p, out=p)
     norm2 = p.sum(axis=-1)
     if p.ndim == 1:
@@ -373,7 +437,7 @@ def _entropy(r, T1, T2, N: int, at=None, out=None):
         return entropy_bits(p)
     resolvable = norm2 > NORM_FLOOR
     p /= np.where(resolvable, norm2, 1.0)[..., None]
-    return np.where(resolvable, entropy_bits(p, None if out is None else out[1]), np.nan)
+    return np.where(resolvable, entropy_bits(p, terms), np.nan)
 
 
 def _tail_basis(z, degree: int) -> list:
@@ -437,7 +501,22 @@ def closed_measures(r, T1, T2):
 
     r, T1 and T2 broadcast (r's tanh and cosh from libm), and floats give
     floats; any other operand is taken as a float array.  Where
-    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.
+    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.  The sums
+    are closed_head's and its two tails', closed_epr and
+    closed_fidelity, which a caller that reads one quantity calls alone.
+    """
+    head = closed_head(r, T1, T2)
+    return head[0], closed_epr(head), closed_fidelity(head)
+
+
+def closed_head(r, T1, T2) -> tuple:
+    """The shared head of closed_measures: p_cd, which it returns first,
+    and what the EPR variance's and the fidelity's sums reuse, the x
+    basis and the squared norm among it.  closed_epr and closed_fidelity
+    sum the two tails from it, so a caller that reads one quantity sums
+    only its own, and one that reads all three shares the head.  Each
+    value is closed_measures' bit for bit; see there for the sums and
+    operands.
     """
     if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
         r, T1, T2 = _operands(r, T1, T2)
@@ -454,21 +533,39 @@ def closed_measures(r, T1, T2):
     Q1 = (T1 - R1) * (T2 - R2)
     Q2 = (T1 - 2.0 * R1) * (T2 - 2.0 * R2)
     Q3m = _shifted_Q(T1, R1, T2, R2, 3)
-    Q4m = _shifted_Q(T1, R1, T2, R2, 4)
     x_basis = _tail_basis(x, 5)
 
     # sum_n Q(n)^2 x^n / (T1 T2).
     norm = T12 + u2 * (Q1 * Q1 + x * (Q2 * Q2 + x * _series(_square(Q3m), x_basis)))
 
+    p_cd = norm / ch2
+    return p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis
+
+
+def closed_epr(head: tuple):
+    """The EPR variance from closed_head's head; NaN where p_cd is not
+    above NORM_FLOOR."""
+    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis = head
     # sum_n (n+1) (Q(n) - q Q(n+1))^2 x^n / (T1 T2); the n >= 3 terms
     # are (m + 4) d(m)^2 with d(m) = Q(m+3) - q Q(m+4).
+    Q4m = _shifted_Q(T1, R1, T2, R2, 4)
     d2 = _square([a - q * b for a, b in zip(Q3m, Q4m)])
     spread_tail = (4.0 * d2[0], 4.0 * d2[1] + d2[0], 4.0 * d2[2] + d2[1],
                    4.0 * d2[3] + d2[2], 4.0 * d2[4] + d2[3], d2[4])
     spread = (t12 - u * Q1) ** 2 + u2 * (
         2.0 * (Q1 - q * Q2) ** 2 + x * (
             3.0 * (Q2 - q * Q3m[0]) ** 2 + x * _series(spread_tail, x_basis)))
+    # Arithmetic on floats, numpy scalars or 0-d arrays gives a scalar.
+    if not isinstance(p_cd, np.ndarray):
+        return 2.0 * spread / norm if p_cd > NORM_FLOOR else math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_cd > NORM_FLOOR, 2.0 * spread / norm, np.nan)
 
+
+def closed_fidelity(head: tuple):
+    """The teleportation fidelity from closed_head's head; NaN where p_cd
+    is not above NORM_FLOOR."""
+    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis = head
     # sum_k D(k) q^k / (T1 T2), with D(0) = Q(0)^2, D(1) = Q(0) Q(1) and
     # D(2) = (Q(0) Q(2) + Q(1)^2) / 2.  For k = m + 3, k(k-1)/4 is
     # (6 + 5m + m^2)/4 and k(k-1)(k^2-k+2) is (48, 70, 39, 10, 1) in m.
@@ -483,18 +580,10 @@ def closed_measures(r, T1, T2):
            corner)
     overlap = T12 + q * Q1 + u2 * (
         0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q, 4)))
-
-    p_cd = norm / ch2
-    # Arithmetic on floats, numpy scalars or 0-d arrays gives a scalar.
     if not isinstance(p_cd, np.ndarray):
-        if not p_cd > NORM_FLOOR:
-            return p_cd, math.nan, math.nan
-        return p_cd, 2.0 * spread / norm, overlap / (2.0 * norm)
-    resolvable = p_cd > NORM_FLOOR
+        return overlap / (2.0 * norm) if p_cd > NORM_FLOOR else math.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (p_cd,
-                np.where(resolvable, 2.0 * spread / norm, np.nan),
-                np.where(resolvable, overlap / (2.0 * norm), np.nan))
+        return np.where(p_cd > NORM_FLOOR, overlap / (2.0 * norm), np.nan)
 
 
 @dataclass(frozen=True)

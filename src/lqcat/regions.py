@@ -29,7 +29,9 @@ import numpy as np
 from .formulas import (
     _each_r,
     closed_entropy,
-    closed_measures,
+    closed_epr,
+    closed_fidelity,
+    closed_head,
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
@@ -73,36 +75,55 @@ def _baseline(quantity: str, r):
 @dataclass(frozen=True)
 class RowMeasures:
     """Measures at the points (r, T1, T2) of a row or a grid block, all
-    three broadcast against each other, each evaluated on first read:
-    p_cd, the EPR variance and the fidelity from closed_measures, with no
-    truncation, and the entropy from formulas.closed_entropy, which
-    equals report at each point bit for bit.  Where the heralding
-    probability underflows, every measure but pcd is NaN.
+    three broadcast against each other, each evaluated on first read and
+    only then: p_cd from formulas.closed_head, with no truncation, the
+    EPR variance and the fidelity each summed alone from its head by
+    closed_epr and closed_fidelity, and the entropy from
+    formulas.closed_entropy, which equals report at each point bit for
+    bit.  Where the heralding probability underflows, every measure but
+    pcd is NaN.
+
+    With pairs = (i, j), the points are (r, T1[i], T2[j]) instead, for
+    a column r and axes T1 and T2, and the values have shape
+    (len(r), len(i)).  The closed forms take the pairs' T as arrays,
+    and the entropy takes the cells of the (r, T1, T2) grid by their
+    flat indices, so its factor tables hold one row per axis element,
+    not one per pair.
     """
 
     r: float | np.ndarray
     T1: np.ndarray
     T2: np.ndarray
+    pairs: tuple | None = None
 
     @cached_property
-    def _closed(self):
-        return closed_measures(self.r, self.T1, self.T2)
+    def _head(self) -> tuple:
+        if self.pairs is None:
+            return closed_head(self.r, self.T1, self.T2)
+        i, j = self.pairs
+        return closed_head(self.r, self.T1[i], self.T2[j])
 
     @property
     def pcd(self) -> np.ndarray:
-        return self._closed[0]
+        return self._head[0]
 
-    @property
+    @cached_property
     def epr(self) -> np.ndarray:
-        return self._closed[1]
+        return closed_epr(self._head)
 
-    @property
+    @cached_property
     def fidelity(self) -> np.ndarray:
-        return self._closed[2]
+        return closed_fidelity(self._head)
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return closed_entropy(self.r, self.T1, self.T2)
+        if self.pairs is None:
+            return closed_entropy(self.r, self.T1, self.T2)
+        i, j = self.pairs
+        r = np.reshape(self.r, (-1, 1, 1))
+        cells = np.arange(len(r))[:, None] * (len(self.T1) * len(self.T2)) + (
+            i * len(self.T2) + j)
+        return closed_entropy(r, self.T1[:, None], self.T2, cells.ravel()).reshape(cells.shape)
 
     def values(self, quantity: str) -> np.ndarray:
         return getattr(self, quantity)
@@ -172,9 +193,8 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     underflows are reported as NaN.
 
     Where the T1 and T2 axes are equal bit for bit (so 0.0 and -0.0
-    differ) and the quantity is not the entropy, the closed form
-    evaluates only the cells T1 <= T2 and mirrors each value, which is
-    exact because p_cd, the EPR variance and the fidelity are
+    differ), the closed form evaluates only the cells T1 <= T2 and
+    mirrors each value, which is exact because every quantity is
     swap-symmetric bit for bit (see _blocked_values).
     """
     if engine not in ("closed_form", "oracle"):
@@ -233,13 +253,13 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
     * symmetric: rows are the r, columns the T, each cell (T, T);
     * general: rows are the (r, T1) pairs in row-major order, columns
       the T2;
-    * triangle: where the T1 and T2 axes are equal bit for bit and no
-      quantity is the entropy, rows are the r and columns the pairs
-      (T[i], T[j]) with i <= j, in row-major order.  Each value is
-      written to both (i, j) and (j, i): closed_measures pairs T1 with
-      T2 only through commutative + and *, so it is swap-symmetric bit
-      for bit.  The entropy's weights (tanh^n / cosh r g1) g2 are not,
-      so it keeps the whole grid.
+    * triangle: where the T1 and T2 axes are equal bit for bit, rows
+      are the r and columns the pairs (T[i], T[j]) with i <= j, in
+      row-major order, evaluated as RowMeasures' pairs.  Each value is
+      written to both (i, j) and (j, i): closed_head pairs T1 with T2
+      only through commutative + and *, and the entropy's weights
+      multiply as f_r (g1 g2), so every quantity is swap-symmetric bit
+      for bit.
 
     Each block holds at most SWEEP_BLOCK doubles of working set at
     CLOSED_CELL_DOUBLES per cell, whatever the quantity (closed_entropy
@@ -255,8 +275,7 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
         def block(rows, cols):
             T = T1[cols]
             return RowMeasures(r=r[rows, None], T1=T, T2=T), (cols,)
-    elif "entropy" not in quantities and np.array_equal(T1.view(np.int64),
-                                                        T2.view(np.int64)):
+    elif np.array_equal(T1.view(np.int64), T2.view(np.int64)):
         shape, table = (len(r), n * n), (len(r), n * (n + 1) // 2)
         # Row i of the triangle starts with pair number i n - i (i - 1) / 2.
         i = np.arange(n)
@@ -266,7 +285,7 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
             pairs = np.arange(cols.start, cols.stop)
             i = np.searchsorted(first, pairs, side="right") - 1
             j = pairs - first[i] + i
-            return (RowMeasures(r=r[rows, None], T1=T1[i], T2=T1[j]),
+            return (RowMeasures(r=r[rows, None], T1=T1, T2=T1, pairs=(i, j)),
                     (i * n + j, j * n + i))
     else:
         shape = table = len(r) * n, len(T2)

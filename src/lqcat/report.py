@@ -5,6 +5,7 @@ from __future__ import annotations
 from .formulas import (
     _entropy,
     closed_measures,
+    closed_weights,
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
@@ -17,10 +18,11 @@ def report(params: CatalysisParams) -> MeasureReport:
 
     p_cd, the EPR variance and the fidelity come from the truncation-free
     closed forms (formulas.closed_measures).  The entropy comes from the
-    per-N kernel behind formulas.closed_entropy, called once at
-    N = choose_truncation(params): params is already validated, so the
-    point skips closed_entropy's second make_params and class lookup,
-    and its entropy equals its cell's in symmetric_row bit for bit.
+    per-N kernel behind formulas.closed_entropy, called once on the
+    weights at N = choose_truncation(params): params is already
+    validated, so the point skips closed_entropy's second make_params
+    and class lookup, and its entropy equals its cell's in any row or
+    grid bit for bit.
     Raises DegeneratePostselectionError where the heralding probability
     is not above NORM_FLOOR.  The published moment polynomials in formulas
     (epr_closed, fidelity_closed) are kept as cross-checks only, since
@@ -30,7 +32,7 @@ def report(params: CatalysisParams) -> MeasureReport:
     p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
     check_norm(p_cd)
     N = choose_truncation(params)
-    entropy = float(_entropy(params.r, params.T1, params.T2, N))
+    entropy = float(_entropy(closed_weights(params.r, params.T1, params.T2, N)))
     return _with_baselines(params, p_cd, entropy, epr, fidelity)
 
 

@@ -13,10 +13,11 @@ First every operation below runs once per checkout, and its results are
 compared byte for byte: every RegionGrid field, raw and values among
 them, the ThresholdResult fields, the t_range lists, the implication
 entries and the report fields.  Both sets hold general sweeps on equal
-T1 and T2 axes and one on unequal axes.  The check set also holds the
+T1 and T2 axes and two on unequal axes.  The check set also holds the
 audits at resolution 100, 199 and 400 and sweeps at r = 2 and on an r
-axis whose truncation classes mix.  Any difference is printed, and the script exits
-1 before timing.
+axis whose truncation classes mix.  Each operation that differs is
+printed with the largest absolute difference between its numbers, and
+whether any other field differs, such as a shape, a NaN or a flag.
 
 Then the timed operations run ROUNDS times per checkout (default 16),
 interleaved: every round runs each operation on both sides, the order of
@@ -24,8 +25,12 @@ the operations rotates from round to round, and the side that runs first
 alternates.  A sample repeats its operation as often as fills about
 SAMPLE_SECONDS on the parent.  Per operation it prints the repeats, both
 sides' median time per call, the median of the per-round ratios
-change / parent, and the rounds that the change won.  Set
-OPENBLAS_NUM_THREADS=1 first for steady timings.
+change / parent, the rounds that the change won, and both sides' median
+minor page faults per call (resource.getrusage).  Both sides share one
+allocator, so a ratio whose faults differ widely may be the allocator's;
+time such an operation in a process of its own.  Set
+OPENBLAS_NUM_THREADS=1 first for steady timings.  Exits 1 if any checked
+operation differs, else 0.
 
 Needs numpy; pytest does not collect it.
 """
@@ -35,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -67,8 +73,9 @@ def timed_operations() -> dict:
         ops[f"sweep.{q} 8 r x 100 x 100"] = (
             lambda m, q=q: m.regions.sweep(q, R_MAPS, T_SQUARE, T_SQUARE))
     # Unequal axes: the whole grid, where equal ones take their triangle.
-    ops["sweep.fidelity 8 r x 100 x 99"] = (
-        lambda m: m.regions.sweep("fidelity", R_MAPS, T_SQUARE, T_OTHER))
+    for q in ("entropy", "fidelity"):
+        ops[f"sweep.{q} 8 r x 100 x 99"] = (
+            lambda m, q=q: m.regions.sweep(q, R_MAPS, T_SQUARE, T_OTHER))
     for q in QUANTITIES:
         ops[f"symmetric_sweep.{q} 8 r x 200"] = (
             lambda m, q=q: m.regions.symmetric_sweep(q, R_MAPS, T_DIAGONAL))
@@ -135,14 +142,39 @@ def canonical(x):
     return x
 
 
+def difference(a, b) -> tuple:
+    """The largest absolute difference between the finite numbers of two
+    results, and whether any other field differs: a type, a shape, a
+    length, a NaN or infinity, a flag or a string."""
+    if dataclasses.is_dataclass(a) and type(a).__name__ == type(b).__name__:
+        a, b = (tuple(getattr(x, f.name) for f in dataclasses.fields(x)) for x in (a, b))
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        parts = [difference(x, y) for x, y in zip(a, b)]
+        return (max((d for d, _ in parts), default=0.0),
+                len(a) != len(b) or any(o for _, o in parts))
+    if isinstance(a, (float, np.ndarray)) and isinstance(b, (float, np.ndarray)):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape or a.dtype != b.dtype:
+            return 0.0, True
+        if a.dtype.kind != "f":
+            return 0.0, a.tobytes() != b.tobytes()
+        finite = np.isfinite(a) & np.isfinite(b)
+        return (float(np.abs(a[finite] - b[finite]).max(initial=0.0)),
+                not np.array_equal(a[~finite], b[~finite], equal_nan=True)
+                or not np.array_equal(np.isfinite(a), np.isfinite(b)))
+    return 0.0, a != b
+
+
 def check(sides) -> int:
     """The number of checked operations whose results differ."""
     differing = 0
     for name, op in checked_operations().items():
-        parent, change = (canonical(op(m)) for m in sides)
-        if parent != change:
+        parent, change = (op(m) for m in sides)
+        if canonical(parent) != canonical(change):
             differing += 1
-            print(f"DIFFERS: {name}")
+            largest, other = difference(parent, change)
+            print(f"DIFFERS: {name}: largest |difference| {largest:.3g}"
+                  + (", and another field differs" if other else ""))
     print(f"{differing} of {len(checked_operations())} checked operations differ")
     return differing
 
@@ -157,20 +189,28 @@ def time_rounds(sides, rounds: int) -> None:
         op(sides[0])
         repeats[name] = max(1, round(SAMPLE_SECONDS / (time.perf_counter() - start)))
     times = {name: ([], []) for name, _ in ops}
+    faults = {name: ([], []) for name, _ in ops}
     for k in range(rounds):
         for name, op in ops[k % len(ops):] + ops[:k % len(ops)]:
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 for _ in range(repeats[name]):
                     op(sides[side])
                 times[name][side].append((time.perf_counter() - start) / repeats[name])
-    print(f"{'operation':34} {'repeats':>7} {'parent':>10} {'change':>10} {'ratio':>7}  wins")
+                faults[name][side].append(
+                    (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+                    / repeats[name])
+    print(f"{'operation':34} {'repeats':>7} {'parent':>10} {'change':>10} {'ratio':>7}  "
+          f"wins   faults/call parent change")
     for name, (parent, change) in times.items():
         ratios = [c / p for p, c in zip(parent, change)]
         wins = sum(c < p for p, c in zip(parent, change))
         print(f"{name:34} {repeats[name]:7} {statistics.median(parent) * 1e3:8.2f}ms "
               f"{statistics.median(change) * 1e3:8.2f}ms "
-              f"{statistics.median(ratios):7.3f}  {wins}/{rounds}")
+              f"{statistics.median(ratios):7.3f}  {f'{wins}/{rounds}':6} "
+              f"{statistics.median(faults[name][0]):18.1f} "
+              f"{statistics.median(faults[name][1]):6.1f}")
 
 
 def main(argv: list[str]) -> int:
@@ -184,10 +224,9 @@ def main(argv: list[str]) -> int:
             print(f"{root}: no src/lqcat here", file=sys.stderr)
             return 2
     sides = [load(root, name) for root, name in zip(roots, ("lqcat_parent", "lqcat_change"))]
-    if check(sides):
-        return 1
+    differing = check(sides)
     time_rounds(sides, int(argv[2]) if len(argv) == 3 else 16)
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

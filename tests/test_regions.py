@@ -277,17 +277,24 @@ class TestSweep:
         assert len(set(np.searchsorted(limits, q).tolist())) == 5
         assert len(set(np.searchsorted(limits, np.tanh(mixed)).tolist())) == 4
 
-    @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity", "pcd"])
     @pytest.mark.parametrize("r,T", [
         # T = 0 and 1; the cells (0, 1/2) and (1/2, 0) have no weight.
+        # At r = 2 the entropy's cells take six truncation classes.
         ([0.3, 1.2, 2.0], [0.0, 0.25, 0.5, 2 / 3, 0.9, 1.0]),
         # At r = 350 p_cd underflows at every cell: all NaN.
         ([0.3, 350.0], [0.0, 0.2, 0.5, 2 / 3, 0.9])])
     def test_equal_axes_evaluate_the_triangle(self, quantity, r, T, monkeypatch):
         # On equal T1 and T2 axes only the T1 <= T2 cells are evaluated,
-        # and each value is mirrored.  closed_measures is swap-symmetric
-        # bit for bit, so at every block size the grid is the whole
-        # evaluation's, NaN cells included.
+        # and each value is mirrored.  Every quantity is swap-symmetric
+        # bit for bit, so at every block size, and every chunk size of
+        # the entropy, the grid is the whole evaluation's, NaN cells
+        # included.
+        def cells(kw):
+            if kw.get("pairs") is None:
+                return np.broadcast(kw["r"], kw["T1"], kw["T2"]).size
+            return np.size(kw["r"]) * len(kw["pairs"][0])
+
         r, T = np.array(r), np.array(T)
         whole = RowMeasures(r[:, None, None], T[:, None], T).values(quantity)
         if quantity != "pcd":
@@ -295,14 +302,17 @@ class TestSweep:
         blocks = []
         monkeypatch.setattr(regions, "RowMeasures",
                             lambda **kw: blocks.append(kw) or RowMeasures(**kw))
-        for block in (1, 7, 500, 40_000, regions.SWEEP_BLOCK):
+        chunks = (1, 155, formulas.ENTROPY_CHUNK) if quantity == "entropy" else (None,)
+        for block, chunk in itertools.product(
+                (1, 7, 500, 40_000, regions.SWEEP_BLOCK), chunks):
             blocks.clear()
             with monkeypatch.context() as m:
                 m.setattr(regions, "SWEEP_BLOCK", block)
+                if chunk is not None:
+                    m.setattr(formulas, "ENTROPY_CHUNK", chunk)
                 grid = sweep(quantity, r, T, T.copy())
-            assert grid.raw.tobytes() == whole.tobytes(), block
-            cells = sum(np.broadcast(*kw.values()).size for kw in blocks)
-            assert cells == len(r) * len(T) * (len(T) + 1) // 2, block
+            assert grid.raw.tobytes() == whole.tobytes(), (block, chunk)
+            assert sum(map(cells, blocks)) == len(r) * len(T) * (len(T) + 1) // 2
 
     @example(0.7, 0.0, 0.4)
     @example(1.9, 1.0, 0.3)
@@ -320,6 +330,63 @@ class TestSweep:
         row = np.array([[r]]), np.array([T1, T2]), np.array([T2, T1])
         for values in closed_measures(*row):
             assert values[0, 0].tobytes() == values[0, 1].tobytes()
+
+    # T = 0, 1/2 (a weight is zero), 2/3 and 1; q = t1 t2 tanh r on each
+    # side of the N = 30 / 60 class limit at r = 1, T2 = 1; the cap.
+    @example(0.9, 0.0, 0.7)
+    @example(1.2, 0.5, 0.3)
+    @example(0.8, 2 / 3, 1.0)
+    @example(2.0, 1.0, 0.25)
+    @example(1.0, 0.33357874719123726, 1.0)
+    @example(1.0, 0.3335787471912373, 1.0)
+    @example(2.4, 1.0, 1.0)
+    @given(st.floats(0.0, 2.4), special_T, special_T)
+    @settings(max_examples=60, deadline=None)
+    @seed(19)
+    def test_entropy_is_swap_symmetric(self, r, T1, T2):
+        # The triangle mirrors each entropy too, so (T1, T2) and (T2, T1)
+        # give the same bytes: as points of closed_entropy and report,
+        # and as cells of a grid row.
+        assert (closed_entropy(r, T1, T2).tobytes()
+                == closed_entropy(r, T2, T1).tobytes())
+        row = closed_entropy(np.array([[r]]), np.array([T1, T2]), np.array([T2, T1]))
+        assert row[0, 0].tobytes() == row[0, 1].tobytes()
+        try:
+            want = report(make_params(r, T1, T2)).entropy
+        except DegeneratePostselectionError:
+            assert math.isnan(row[0, 0])
+            with pytest.raises(DegeneratePostselectionError):
+                report(make_params(r, T2, T1))
+            return
+        assert np.float64(report(make_params(r, T2, T1)).entropy).tobytes() == (
+            np.float64(want).tobytes())
+        assert row[0, 0] == want
+
+    def test_each_read_sums_only_its_quantity(self, monkeypatch):
+        # A RowMeasures read of p_cd sums only closed_head; the EPR
+        # variance and the fidelity each add their own tail, once.  Every
+        # read, of a broadcast grid or of pairs, is closed_measures' bytes
+        # at its points, NaN cells (r = 350) included.
+        calls = []
+        for name in ("closed_epr", "closed_fidelity"):
+            tail = getattr(regions, name)
+            monkeypatch.setattr(regions, name, lambda head, tail=tail, name=name:
+                                calls.append(name) or tail(head))
+        r = np.array([0.3, 1.2, 350.0])[:, None]
+        T = np.array([0.0, 0.25, 0.5, 2 / 3, 0.9])
+        i, j = np.triu_indices(len(T))
+        for operands, measures in (
+                ((r[:, :, None], T[:, None], T), RowMeasures(r[:, :, None], T[:, None], T)),
+                ((r, T[i], T[j]), RowMeasures(r, T, T, pairs=(i, j)))):
+            want = dict(zip(("pcd", "epr", "fidelity"), closed_measures(*operands)))
+            calls.clear()
+            assert measures.pcd.tobytes() == want["pcd"].tobytes()
+            assert calls == []
+            # Each is read twice; its tail runs on the first read only.
+            for quantity in ("fidelity", "epr", "fidelity", "epr"):
+                assert measures.values(quantity).tobytes() == want[quantity].tobytes()
+            assert calls == ["closed_fidelity", "closed_epr"]
+            assert np.isnan(want["epr"][-1]).all() and not np.isnan(want["epr"][0]).all()
 
     @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
     def test_signed_zeros_are_unequal_axes(self, quantity, monkeypatch):
