@@ -22,6 +22,7 @@ from .model import (
     CLASS_LIMITS,
     ENTROPY_CLASSES,
     NORM_FLOOR,
+    _SMALLEST_SUBNORMAL,
     CatalysisParams,
     check_norm,
     choose_truncation,
@@ -441,19 +442,21 @@ def _entropy(p, terms=None):
 
 
 def _tail_basis(z, degree: int) -> list:
-    """[sum_{m>=0} m^j z^m for j = 0..degree], degree <= 5.
+    """[sum_{m>=0} m^j z^m for j = 0..degree], degree 4 or 5.
 
     Each is A_j(z) / (1 - z)^(j+1) with A_j the Eulerian polynomial
     (1; z; z + z^2; z + 4z^2 + z^3; ...).  The coefficients of A_j are
-    positive, so these do not cancel as z -> 1.
+    positive, so these do not cancel as z -> 1.  The degree-5 term, the
+    dearest, is built only when asked for.
     """
     w = 1.0 / (1.0 - z)
     zw = z * w
     basis = [w, zw * w, (1.0 + z) * zw * w * w,
              (1.0 + z * (4.0 + z)) * zw * w * w * w,
-             (1.0 + z * (11.0 + z * (11.0 + z))) * zw * w * w * w * w,
-             (1.0 + z * (26.0 + z * (66.0 + z * (26.0 + z)))) * zw * w * w * w * w * w]
-    return basis[:degree + 1]
+             (1.0 + z * (11.0 + z * (11.0 + z))) * zw * w * w * w * w]
+    if degree == 5:
+        basis.append((1.0 + z * (26.0 + z * (66.0 + z * (26.0 + z)))) * zw * w * w * w * w * w)
+    return basis
 
 
 def _series(f, basis):
@@ -584,6 +587,55 @@ def closed_fidelity(head: tuple):
         return overlap / (2.0 * norm) if p_cd > NORM_FLOOR else math.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(p_cd > NORM_FLOOR, overlap / (2.0 * norm), np.nan)
+
+
+def closed_photons(head: tuple) -> tuple:
+    """The photon-number distribution of closed_head's state split at
+    n = 2: (p_0, p_1, rho, excess), with rho = sum_{n>=2} p_n the mass
+    of the tail n >= 2 and excess = sum_{n>=2} (n - 2) p_n, so the mean
+    photon number <n> = <a+a> = <b+b> is p_1 + 2 rho + excess.
+
+    rho is the n >= 2 part of the head's norm, u^2 x tail / norm, summed
+    again here as the head sums it, and excess the one further series
+    u^2 x^2 sum_{m>=0} (m+1) Q(m+3)^2 x^m / norm, so every part is a sum
+    of non-negative terms and nothing cancels.  NaN where p_cd is not
+    above NORM_FLOOR.
+    """
+    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis = head
+    s = _square(Q3m)
+    tail = Q2 * Q2 + x * _series(s, x_basis)
+    # (m + 1) Q(m+3)^2 as coefficients, lowest power first.
+    beyond = _series((s[0], s[0] + s[1], s[1] + s[2], s[2] + s[3], s[3] + s[4], s[4]), x_basis)
+    norm = np.where(p_cd > NORM_FLOOR, norm, np.nan)
+    return (T12 / norm, u2 * (Q1 * Q1) / norm, u2 * (x * tail) / norm,
+            u2 * (x * (x * beyond)) / norm)
+
+
+def closed_entropy_bound(head: tuple):
+    """An upper bound, in bits, on the entanglement entropy of closed_head's
+    state, in closed form: no weights, no truncation.
+
+    By the chain rule, S = H(p_0, p_1, rho) + rho S_tail, where S_tail is
+    the entropy of n - 2 given n >= 2, a distribution on 0, 1, 2, ...
+    with mean m = excess / rho (closed_photons).  Among all such
+    distributions with mean m, the geometric one has the largest
+    entropy (Jaynes' maximum-entropy principle, Phys. Rev. 106, 620
+    (1957)): g(m) = (m + 1) log2(m + 1) - m log2 m, the squeezed
+    vacuum's at sinh^2 r = m.  So S <= H(p_0, p_1, rho) + rho g(m), with
+    equality where the tail is geometric, on T1 = T2 = 1.  With
+    a = rho + excess, rho g(m) = a log2 a - excess log2 excess
+    - rho log2 rho, so the bound is five terms v log2 v, with no
+    division by rho, which may be 0.
+
+    This bounds the untruncated entropy; regions.ENTROPY_BOUND_MARGIN
+    covers the gap to closed_entropy's truncated, rounded sum.  NaN
+    where p_cd is not above NORM_FLOOR.
+    """
+    p0, p1, rho, excess = closed_photons(head)
+    v = np.stack((p0, p1, rho, rho + excess, excess))
+    # 0 log2 0 := 0, as in entropy_bits.
+    v *= np.log2(np.maximum(v, _SMALLEST_SUBNORMAL))
+    return v[3] - v[4] - (v[0] + v[1] + 2.0 * v[2])
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ implication audit over the three measures, and their common region.
 
 p_cd, the EPR variance and the fidelity come from the truncation-free
 closed forms of formulas.closed_measures; the entropy is the one N-term
-sum over the closed-form weights.  The standalone published moment
-polynomials are not used: they disagree with the exact spectrum, and the
-spectrum is what the brute-force circuit simulation certifies.  The
-circuit oracle and the CF quadrature serve only sweep(engine="oracle"),
-which imports lqcat.oracle when it runs.
+sum over the closed-form weights, which the threshold search skips
+wherever formulas.closed_entropy_bound settles a cell.  The standalone
+published moment polynomials are not used: they disagree with the exact
+spectrum, and the spectrum is what the brute-force circuit simulation
+certifies.  The circuit oracle and the CF quadrature serve only
+sweep(engine="oracle"), which imports lqcat.oracle when it runs.
 
 "Enhanced" always means the delta against the un-catalyzed baseline at
 the same squeezing exceeds a small guard band, so round-off at the
@@ -29,6 +30,7 @@ import numpy as np
 from .formulas import (
     _each_r,
     closed_entropy,
+    closed_entropy_bound,
     closed_epr,
     closed_fidelity,
     closed_head,
@@ -61,6 +63,22 @@ R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
 POLISH_POINTS = 129
 DEFAULT_TOL = 1e-3
+# Slack added to the closed-form entropy bound before it settles a
+# threshold cell (_entropy_delta_bound).  The bound is exact for the
+# untruncated spectrum, so the slack must cover how far the computed
+# delta can sit above it:
+# * truncation: the squared weight beyond N is below ENTROPY_EPS_TRUNC
+#   = 1e-16, which moves the entropy by about 50 eps = 5e-15 bits;
+# * the computed entropy's rounding: N + 1 <= 2049 terms p log2 p of a
+#   few ulp each, summing to at most 7 bits at r <= R_BRACKET[1] (6.4 at
+#   r = 2.4), so below 2049 x 7 x 2.2e-16 = 3.2e-12;
+# * the bound's and tmsvs_entropy's rounding: a few dozen operations on
+#   non-negative terms of at most 7 bits, below 1e-13.
+# That is below 3.4e-12 in all; 1e-9 leaves 290-fold room.  Measured on
+# dense rows for r <= 2.4: without slack the bound fell at most 4.5e-14
+# below the computed delta, near T = 1 at r = 2.385, where the tail is
+# almost geometric and the bound tight.
+ENTROPY_BOUND_MARGIN = 1e-9
 
 
 def _baseline(quantity: str, r):
@@ -333,19 +351,70 @@ def _refine(quantity: str, r: float, lo, hi):
     return T, symmetric_row(r, T.ravel()).deltas(quantity).reshape(T.shape)
 
 
+def _entropy_delta_bound(r: float, T: np.ndarray) -> np.ndarray:
+    """An upper bound on the entropy delta at (r, T, T) for each T:
+    formulas.closed_entropy_bound, less the baseline, plus
+    ENTROPY_BOUND_MARGIN; +inf where the bound is NaN, so such a cell
+    is never settled by it."""
+    bound = (closed_entropy_bound(closed_head(r, T, T)) - tmsvs_entropy(r)
+             + ENTROPY_BOUND_MARGIN)
+    return np.where(np.isnan(bound), np.inf, bound)
+
+
+def _search_deltas(quantity: str, r: float, T: np.ndarray, rank: bool) -> np.ndarray:
+    """quantity's deltas at (r, T, T), or as many as a threshold question
+    needs: whether any T enhances and, when rank, which T is the first
+    of the largest deltas.
+
+    EPR and fidelity deltas are all computed.  For the entropy,
+    _entropy_delta_bound bounds every delta from above, and the exact
+    delta (symmetric_row) is computed in waves, the next only while no
+    computed delta enhances: the cell of the largest bound (when rank,
+    or when that bound exceeds ENHANCEMENT_GUARD), then every cell
+    whose bound exceeds ENHANCEMENT_GUARD, then, when rank, every cell
+    whose bound reaches the largest computed delta.  Every other cell
+    is NaN: none of them can enhance, and each lies strictly below the
+    largest computed delta, so the first-occurrence nanargmax of the
+    result is the whole row's.  A cell's exact delta does not depend
+    on the other cells of its symmetric_row call.
+    """
+    if quantity != "entropy":
+        return symmetric_row(r, T).deltas(quantity)
+    bound = _entropy_delta_bound(r, T)
+    deltas = np.full(len(T), np.nan)
+    done = np.zeros(len(T), dtype=bool)
+
+    def settle(cells) -> bool:
+        cells = cells & ~done
+        if cells.any():
+            done[cells] = True
+            deltas[cells] = symmetric_row(r, T[cells]).deltas(quantity)
+        return bool(np.any(deltas > ENHANCEMENT_GUARD))
+
+    top = np.zeros(len(T), dtype=bool)
+    top[np.argmax(bound)] = rank or bound.max() > ENHANCEMENT_GUARD
+    if not (settle(top) or settle(bound > ENHANCEMENT_GUARD)) and rank:
+        settle(bound >= np.nanmax(deltas, initial=-np.inf))
+    return deltas
+
+
 def _enhancement_exists(quantity: str, r: float) -> bool:
     """True if some symmetric T in (0, 1) gives a positive delta at this r.
 
     Dense scan first (step 1e-3), then a refine of the two cells around
     the best scan point in case the maximum slips between grid points.
+    Both take their deltas from _search_deltas, so the entropy's exact
+    sum runs only at the cells that its closed-form bound cannot
+    settle; the answer, and the scan's best point, are those of the
+    whole rows.
     """
     T = np.arange(T_SCAN_STEP, 1.0, T_SCAN_STEP)
-    deltas = symmetric_row(r, T).deltas(quantity)
+    deltas = _search_deltas(quantity, r, T, rank=True)
     best = int(np.nanargmax(deltas))
     if deltas[best] > ENHANCEMENT_GUARD:
         return True
-    _, fine = _refine(quantity, r, T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)])
-    return bool(np.nanmax(fine) > ENHANCEMENT_GUARD)
+    fine = np.linspace(T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)], POLISH_POINTS)
+    return bool(np.any(_search_deltas(quantity, r, fine, rank=False) > ENHANCEMENT_GUARD))
 
 
 def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
@@ -353,7 +422,12 @@ def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
 
     Brackets on r in [0.01, 2.0]; raises if no enhancement is found even
     at the lower end, which would signal an implementation regression.
-    tol must be finite and at least 1 / GRID_CAP.
+    Each step asks _enhancement_exists, whose answer is that of the
+    exact deltas at every scan and refine cell; for the entropy it
+    computes them only where the closed-form bound cannot settle the
+    cell, so r_star is the exhaustive search's bit for bit at a few
+    dozen exact cells (29 at the default tol, where the exhaustive
+    search took 13,890).  tol must be finite and at least 1 / GRID_CAP.
     """
     _check_search("threshold", quantity, tol)
     lo, hi = R_BRACKET

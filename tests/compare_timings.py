@@ -11,13 +11,14 @@ interpreter on the same inputs.
 
 First every operation below runs once per checkout, and its results are
 compared byte for byte: every RegionGrid field, raw and values among
-them, the ThresholdResult fields, the t_range lists, the implication
-entries and the report fields.  Both sets hold general sweeps on equal
-T1 and T2 axes and two on unequal axes.  The check set also holds the
-audits at resolution 100, 199 and 400 and sweeps at r = 2 and on an r
-axis whose truncation classes mix.  Each operation that differs is
-printed with the largest absolute difference between its numbers, and
-whether any other field differs, such as a shape, a NaN or a flag.
+them, the ThresholdResult fields (the entropy's at tol 1e-4 too), the
+t_range lists, the implication entries and the report fields.  Both sets
+hold general sweeps on equal T1 and T2 axes and two on unequal axes.
+The check set also holds the audits at resolution 100, 199 and 400 and
+sweeps at r = 2 and on an r axis whose truncation classes mix.  Each
+operation that differs is printed with the largest absolute difference
+between its numbers, and whether any other field differs, such as a
+shape, a NaN or a flag.
 
 Then the timed operations run ROUNDS times per checkout (default 16),
 interleaved: every round runs each operation on both sides, the order of
@@ -83,6 +84,7 @@ def timed_operations() -> dict:
         lambda m: m.regions.sweep("entropy", [2.0], T_SQUARE, T_SQUARE))
     for q in MEASURES:
         ops[f"threshold.{q}"] = lambda m, q=q: m.regions.threshold(q)
+    ops["threshold.entropy tol=1e-4"] = lambda m: m.regions.threshold("entropy", 1e-4)
     for q in MEASURES:
         ops[f"t_range.{q} r=0.2"] = lambda m, q=q: m.regions.t_range(q, 0.2)
     ops["report 200 points"] = lambda m: [

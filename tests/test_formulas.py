@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from lqcat.formulas import (
     closed_entropy,
+    closed_head,
     closed_measures,
+    closed_photons,
     closed_spectrum,
     closed_weights,
     epr_closed,
@@ -175,6 +177,31 @@ class TestClosedMeasures:
         assert p_cd == pytest.approx(p_ref, rel=1e-13, abs=0.0)
         assert epr == pytest.approx(epr_ref, rel=0.0, abs=1e-13)
         assert fidelity == pytest.approx(fid_ref, rel=0.0, abs=1e-13)
+
+    @example(0.3, 0.0, 0.0)
+    @example(0.3, 1.0, 1.0)
+    @example(2.3, 1.0, 1.0)
+    @example(2.3, 0.0, 1.0)
+    @example(0.78, 0.226, 0.226)
+    @example(2.0, 2 / 3, 2 / 3)  # Q(2) = 0
+    @example(1e-9, 0.5, 0.5)
+    @example(0.0, 0.3, 0.4)
+    @given(st.floats(0.0, 2.3), unit, unit)
+    @settings(max_examples=60, deadline=None)
+    @seed(20261020)
+    def test_photons_give_the_spectrum_mean(self, r, T1, T2):
+        # <n> = p_1 + 2 rho + excess, each part a closed-form sum, against
+        # sum_n n w_n^2 of the truncated spectrum.
+        p0, p1, rho, excess = closed_photons(closed_head(r, T1, T2))
+        try:
+            spectrum, _ = closed_spectrum(make_params(r, T1, T2))
+        except DegeneratePostselectionError:
+            assert np.isnan([p0, p1, rho, excess]).all()
+            return
+        p = spectrum.weights**2
+        assert p1 + 2.0 * rho + excess == pytest.approx(p @ np.arange(len(p)),
+                                                        rel=1e-13, abs=0.0)
+        assert p0 + p1 + rho == pytest.approx(1.0, abs=1e-15)
 
     def test_broadcast_matches_scalar(self):
         T1 = np.array([0.0, 1e-16, 0.3, 0.5, 1.0])[:, None]

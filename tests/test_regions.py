@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lqcat import formulas, regions
 from lqcat.formulas import closed_entropy, closed_measures
 from lqcat.model import (
+    ENHANCEMENT_GUARD,
     ENTROPY_CLASSES,
     MAX_TRUNCATION,
     NORM_FLOOR,
@@ -604,6 +605,100 @@ class TestThreshold:
         T = np.arange(regions.T_SCAN_STEP, 1.0, regions.T_SCAN_STEP)
         assert np.nanmax(symmetric_row(r, T).deltas("epr")) < -1e-5
         assert regions._enhancement_exists("epr", r)
+
+
+def _exhaustive_enhancement_exists(quantity, r):
+    """regions._enhancement_exists as it was before the entropy bound:
+    the exact delta at every scan cell and at every refine cell."""
+    T = np.arange(regions.T_SCAN_STEP, 1.0, regions.T_SCAN_STEP)
+    deltas = regions.symmetric_row(r, T).deltas(quantity)
+    best = int(np.nanargmax(deltas))
+    if deltas[best] > ENHANCEMENT_GUARD:
+        return True
+    _, fine = regions._refine(quantity, r, T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)])
+    return bool(np.nanmax(fine) > ENHANCEMENT_GUARD)
+
+
+class TestEntropyBound:
+    @example(0.0, 0.0)
+    @example(0.01, 1e-16)
+    @example(2.0, 0.5)
+    @example(2.4, 2 / 3)
+    @example(0.0, 2 / 3)  # Q(2) = 0 and x = 0: the tail's mass is 0
+    @example(2.4, 1.0)  # a geometric tail: the bound is tight
+    @example(0.01, 1.0)
+    @example(2.0, 0.999)
+    @example(0.0, 1e-160)  # p_cd = 1e-320 underflows NORM_FLOOR
+    @given(st.floats(0.0, 2.4), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    @seed(20)
+    def test_bound_holds_against_the_computed_delta(self, r, T):
+        T = np.array([T])
+        bound = regions._entropy_delta_bound(r, T)[0]
+        delta = symmetric_row(r, T).deltas("entropy")[0]
+        if math.isnan(delta):
+            # No bound where p_cd underflows: the cell takes the exact path.
+            assert bound == math.inf
+            return
+        assert delta <= bound
+        # The slack's error budget is 3.4e-12; without the slack the
+        # bound falls below the computed delta by much less (4.5e-14 at
+        # most on dense rows, near T = 1 at r = 2.385).
+        assert delta <= bound - regions.ENTROPY_BOUND_MARGIN + 1e-12
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
+    def test_predicate_matches_the_exhaustive_scan(self, quantity):
+        rs = np.concatenate([np.linspace(0.01, 2.0, 40), np.linspace(0.53, 0.63, 10),
+                             np.linspace(0.77, 0.80, 10)])
+        for r in rs.tolist():
+            assert regions._enhancement_exists(quantity, r) == (
+                _exhaustive_enhancement_exists(quantity, r)), r
+
+    @pytest.mark.parametrize("loose", [False, True])
+    @pytest.mark.parametrize("r", [0.2, 0.7839, 0.784, 0.79, 1.2])
+    def test_settled_scan_keeps_the_rows_best_point(self, r, loose, monkeypatch):
+        # The cells the bound leaves NaN lie below the computed ones, so
+        # the first-occurrence argmax, which places the refine, is the
+        # whole row's wherever no cell enhances.  A looser bound, whose
+        # largest value sits at small T, far from the best delta, only
+        # costs cells.
+        if loose:
+            bound = regions._entropy_delta_bound
+            monkeypatch.setattr(regions, "_entropy_delta_bound",
+                                lambda r, T: bound(r, T) + 0.05 * (1.0 - T))
+        T = np.arange(regions.T_SCAN_STEP, 1.0, regions.T_SCAN_STEP)
+        full = symmetric_row(r, T).deltas("entropy")
+        settled = regions._search_deltas("entropy", r, T, rank=True)
+        computed = ~np.isnan(settled)
+        assert settled[computed].tobytes() == full[computed].tobytes()
+        if np.nanmax(full) > ENHANCEMENT_GUARD:
+            assert np.nanmax(settled) > ENHANCEMENT_GUARD
+        else:
+            assert np.nanargmax(settled) == np.nanargmax(full)
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
+    def test_r_star_is_the_exhaustive_searchs(self, quantity, tol, monkeypatch):
+        got = threshold(quantity, tol).r_star
+        monkeypatch.setattr(regions, "_enhancement_exists", _exhaustive_enhancement_exists)
+        assert got.hex() == threshold(quantity, tol).r_star.hex()
+
+    def test_entropy_search_computes_few_cells(self, monkeypatch):
+        # Every exact delta of the search comes from symmetric_row.
+        counted = [0]
+        row = regions.symmetric_row
+
+        def counting(r, T):
+            counted[0] += len(T)
+            return row(r, T)
+        monkeypatch.setattr(regions, "symmetric_row", counting)
+        threshold("entropy")
+        pruned = counted[0]
+        monkeypatch.setattr(regions, "_enhancement_exists", _exhaustive_enhancement_exists)
+        counted[0] = 0
+        threshold("entropy")
+        assert counted[0] == 13_890
+        assert pruned < 0.01 * counted[0]
 
 
 class TestTRange:
