@@ -7,14 +7,12 @@ live in lqcat.oracle, which this package does not import: it needs scipy.
 """
 
 from .formulas import (
-    StateCoefficients,
     closed_entropy,
     closed_measures,
     closed_spectrum,
     closed_weights,
     epr_closed,
     fidelity_closed,
-    state_coefficients,
     success_probability,
     tmsvs_entropy,
     tmsvs_epr,
@@ -58,7 +56,6 @@ __all__ = [
     "QuadratureError",
     "RegionGrid",
     "SchmidtSpectrum",
-    "StateCoefficients",
     "ThresholdResult",
     "choose_truncation",
     "closed_entropy",
@@ -74,7 +71,6 @@ __all__ = [
     "make_params",
     "normalize_weights",
     "report",
-    "state_coefficients",
     "success_probability",
     "sweep",
     "symmetric_row",

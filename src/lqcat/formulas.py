@@ -13,7 +13,6 @@ lqcat.oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -260,10 +259,8 @@ def _at_cells(x, shape: tuple, at: np.ndarray):
 def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
     """The elements of an operand of operand_shape, broadcast to shape,
     that the cells at read, and each cell's position among them, with
-    no sort.  The elements are the span from the smallest to the
-    largest, as a slice, where it holds at most len(at), and else the
-    distinct ones, marked in the span; so there are never more than
-    len(at)."""
+    no sort: their span as a slice where it holds at most len(at), else
+    the distinct ones, so never more than len(at)."""
     index = _element_index(operand_shape, shape, at)
     low, high = int(index.min()), int(index.max())
     index -= low
@@ -275,14 +272,10 @@ def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
 
 
 def _rows(x, N: int, of_r: bool, shape: tuple, cells: np.ndarray):
-    """x's factor (see _factor) at each of the cells, flat indices in
-    shape, as a function of a slice of cells and an out array of their
-    rows.  A float or one-element x has one row, built here and shared.
-    An x of one value per cell is built as it is at the slice's cells,
-    into out.  Any other x gets a table over the elements that all the
-    cells read (_touched), built here once where it holds at most
-    ENTROPY_CHUNK doubles, else once per slice over that slice's
-    elements; each slice gathers its rows into out."""
+    """x's factor (_factor) at the cells, flat indices in shape, as a
+    function of a slice of cells and an out array for their rows.  A
+    table over the elements that the cells read (_touched) is built once
+    where it holds at most ENTROPY_CHUNK doubles, else once per slice."""
     if isinstance(x, float) or x.size == 1:
         row = _factor(x if isinstance(x, float) else x.reshape(-1), N, of_r)
         return lambda part, out: row
@@ -302,10 +295,8 @@ def _rows(x, N: int, of_r: bool, shape: tuple, cells: np.ndarray):
 
 def _weights_at(r, T1, T2, N: int, shape: tuple, cells: np.ndarray):
     """closed_weights at the cells, flat indices in shape, as a function
-    of a slice of cells and a (2, its length, N + 1) float array out: it
-    writes their weights f_r (g1 g2) into out[0], which it returns, and
-    uses out[1] for the rows it gathers.  Each operand's rows come from
-    _rows, so its tables are built once for every slice."""
+    of a slice of cells and a (2, its length, N + 1) array out: the
+    weights go to out[0], which it returns, and out[1] is scratch."""
     f_r, g1 = _rows(r, N, True, shape, cells), _rows(T1, N, False, shape, cells)
     g2 = g1 if T2 is T1 else _rows(T2, N, False, shape, cells)
 
@@ -316,38 +307,23 @@ def _weights_at(r, T1, T2, N: int, shape: tuple, cells: np.ndarray):
     return weights
 
 
-def closed_weights(r, T1, T2, N: int, at=None) -> np.ndarray:
+def closed_weights(r, T1, T2, N: int) -> np.ndarray:
     """Unnormalized weights w~_0 .. w~_N, broadcast over r, T1 and T2.
 
     w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
     factor g_n(T) = ((n+1) T - n) t^(n-1).  Its n = 0 value simplifies
     algebraically to t, which also covers t = 0.  The result has shape
-    broadcast(r, T1, T2) + (N + 1,), or (len(at), N + 1) at the cells
-    whose flat indices in that shape are at.
+    broadcast(r, T1, T2) + (N + 1,).
 
-    Each operand's factor is built once per element, as it is, and the
-    three multiply as f_r (g1 g2); T2 is T1 builds one factor.  The two
-    beam splitters' factors meet in one commutative product, so every
-    weight is swap-symmetric bit for bit.  With at, an operand of one
-    element or of one value per cell is built as it is at those cells,
-    and any other gets a table over the elements that the cells read,
-    found by index arithmetic on at (_touched), so no table has more
-    rows than at, and each cell gathers its row (_weights_at, which
-    closed_entropy calls chunk by chunk into one reused buffer).
-
-    A float is a point: math.sqrt (correctly rounded like np.sqrt) and
-    libm's tanh and cosh, with no array conversion; any other operand is
-    taken as a float array.  Every path does the same operations in the
-    same order, so a point's weights are its broadcast cell's bit for bit.
+    The factors multiply as f_r (g1 g2), here and in _weights_at, so
+    every weight is swap-symmetric bit for bit.  A float is a point
+    (math.sqrt and libm's tanh and cosh); any other operand is taken as
+    a float array.  A point's weights are its broadcast cell's bit for bit.
     """
     if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
         r, T1, T2 = _operands(r, T1, T2)
-    if at is None:
-        g1 = _factor(T1, N, False)
-        return _factor(r, N, True) * (g1 * (g1 if T2 is T1 else _factor(T2, N, False)))
-    at = np.asarray(at)
-    shape = np.broadcast_shapes(np.shape(r), np.shape(T1), np.shape(T2))
-    return _weights_at(r, T1, T2, N, shape, at)(slice(None), np.empty((2, len(at), N + 1)))
+    g1 = _factor(T1, N, False)
+    return _factor(r, N, True) * (g1 * (g1 if T2 is T1 else _factor(T2, N, False)))
 
 
 def closed_spectrum(params: CatalysisParams):
@@ -364,21 +340,11 @@ def closed_entropy(r, T1, T2, at=None):
     """Entanglement entropy in bits, broadcast over r, T1 and T2, or at
     the cells whose flat indices in that broadcast shape are at.
 
-    The one code that acts on the truncation classes.  Every cell is
-    labelled with the class of its own q = t1 t2 tanh r, by the same
-    table and bisect_left as choose_truncation, and each class present
-    is evaluated over its own cells, in chunks of at most ENTROPY_CHUNK
-    weights, by _entropy, the per-N kernel that report calls once.  Each
-    class builds the factor tables of the operand elements that its
-    cells read once, where they fit ENTROPY_CHUNK, and its chunks gather
-    from them (_weights_at); every chunk writes its weights and terms
-    into one buffer per call, which serves each class in turn.  So a
-    cell's value is report's bit for bit, whatever row, grid, block,
-    chunk or set of cells holds it, and the working set stays bounded.
-    With at, only the cells at are labelled and evaluated: the tables of
-    the triangle T1 <= T2 of equal axes then hold one row per T, not one
-    per pair.  The weights are swap-symmetric bit for bit, so the
-    entropy is too.
+    Each cell is truncated at the class of its own q = t1 t2 tanh r, as
+    choose_truncation does, and summed by _entropy in chunks of at most
+    ENTROPY_CHUNK weights.  So a cell's value is report's bit for bit,
+    whatever row, grid, chunk or set of cells holds it, the working set
+    stays bounded, and the entropy is swap-symmetric bit for bit.
 
     Floats give a numpy float64, at gives an array of its length, and
     other operands are taken as float arrays.  The entropy is NaN where
@@ -421,14 +387,11 @@ def closed_entropy(r, T1, T2, at=None):
 
 
 def _entropy(p, terms=None):
-    """Entropy in bits of the weights p along their last axis: the
-    per-N kernel of closed_entropy's chunks, and of report at one point,
-    with N = choose_truncation(params).  The probabilities are p squared
-    in place, and terms, an array of p's shape, holds entropy_bits'
-    terms where given.  A point's weights are 1-D and are normalized in
-    one pass; both branches divide by the same norm, so a point's
-    entropy is its cell's bit for bit.
-    """
+    """Entropy in bits of the weights p along their last axis, NaN where
+    their squared norm is not above NORM_FLOOR: the per-N kernel of
+    closed_entropy and report.  p is squared in place, and terms, an
+    array of p's shape, takes entropy_bits' terms where given.  A 1-D p
+    is a point, whose entropy is its cell's bit for bit."""
     np.square(p, out=p)
     norm2 = p.sum(axis=-1)
     if p.ndim == 1:
@@ -504,23 +467,18 @@ def closed_measures(r, T1, T2):
 
     r, T1 and T2 broadcast (r's tanh and cosh from libm), and floats give
     floats; any other operand is taken as a float array.  Where
-    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.  The sums
-    are closed_head's and its two tails', closed_epr and
-    closed_fidelity, which a caller that reads one quantity calls alone.
+    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.  This is
+    closed_head, closed_epr and closed_fidelity in a row.
     """
     head = closed_head(r, T1, T2)
     return head[0], closed_epr(head), closed_fidelity(head)
 
 
 def closed_head(r, T1, T2) -> tuple:
-    """The shared head of closed_measures: p_cd, which it returns first,
-    and what the EPR variance's and the fidelity's sums reuse, the x
-    basis and the squared norm among it.  closed_epr and closed_fidelity
-    sum the two tails from it, so a caller that reads one quantity sums
-    only its own, and one that reads all three shares the head.  Each
-    value is closed_measures' bit for bit; see there for the sums and
-    operands.
-    """
+    """The shared head of closed_measures: p_cd first, then the terms
+    that closed_epr, closed_fidelity and closed_photons sum their tails
+    from.  Each value is closed_measures' bit for bit; see there for the
+    sums and operands."""
     if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
         r, T1, T2 = _operands(r, T1, T2)
     if isinstance(r, np.ndarray):
@@ -636,30 +594,6 @@ def closed_entropy_bound(head: tuple):
     # 0 log2 0 := 0, as in entropy_bits.
     v *= np.log2(np.maximum(v, _SMALLEST_SUBNORMAL))
     return v[3] - v[4] - (v[0] + v[1] + 2.0 * v[2])
-
-
-@dataclass(frozen=True)
-class StateCoefficients:
-    """Superposition weights of (c0 + c1 a+b+ + c2 a+^2 b+^2) S2(lam)|0,0>."""
-
-    c0: float
-    c1: float
-    c2: float
-    lam: float
-
-
-def state_coefficients(params: CatalysisParams) -> StateCoefficients:
-    """Normalized coefficients of the explicit three-term form."""
-    p_cd = success_probability(params)
-    u = math.tanh(params.r)
-    R1 = 1.0 - params.T1  # squared reflection coefficients
-    R2 = 1.0 - params.T2
-    denom = math.sqrt(p_cd) * math.cosh(params.r)
-    ch = math.cosh(params.lam)
-    c0 = params.t1 * params.t2 * ch / denom
-    c1 = (R1 * R2 - R1 * params.T2 - R2 * params.T1) * u * ch / denom
-    c2 = R1 * R2 * u * math.sinh(params.lam) / denom
-    return StateCoefficients(c0=c0, c1=c1, c2=c2, lam=params.lam)
 
 
 def mean_photon_a(params: CatalysisParams) -> float:

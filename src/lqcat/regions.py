@@ -52,11 +52,8 @@ MEASURES = ("entropy", "epr", "fidelity")
 GRID_CAP = 10**7
 # Working set of one sweep block, in doubles (4 MiB).  closed_measures
 # holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
-# takes 10,485 cells of any quantity, enough for a 100 x 100 map, or for
-# two r of the 5,050 pairs T1 <= T2 that the triangle of equal 100-T axes
-# evaluates; the entropy bounds its weights in closed_entropy's own
-# chunks.  Blocks split both axes, and no value depends on their size or
-# the chunks'.
+# takes 10,485 cells of any quantity; the entropy bounds its weights in
+# closed_entropy's own chunks.  No value depends on the block size.
 SWEEP_BLOCK = 1 << 19
 CLOSED_CELL_DOUBLES = 50
 R_BRACKET = (0.01, 2.0)
@@ -94,19 +91,12 @@ def _baseline(quantity: str, r):
 class RowMeasures:
     """Measures at the points (r, T1, T2) of a row or a grid block, all
     three broadcast against each other, each evaluated on first read and
-    only then: p_cd from formulas.closed_head, with no truncation, the
-    EPR variance and the fidelity each summed alone from its head by
-    closed_epr and closed_fidelity, and the entropy from
+    only then: p_cd, the EPR variance and the fidelity from the
+    truncation-free closed forms, and the entropy from
     formulas.closed_entropy, which equals report at each point bit for
     bit.  Where the heralding probability underflows, every measure but
-    pcd is NaN.
-
-    With pairs = (i, j), the points are (r, T1[i], T2[j]) instead, for
-    a column r and axes T1 and T2, and the values have shape
-    (len(r), len(i)).  The closed forms take the pairs' T as arrays,
-    and the entropy takes the cells of the (r, T1, T2) grid by their
-    flat indices, so its factor tables hold one row per axis element,
-    not one per pair.
+    pcd is NaN.  With pairs = (i, j), the points are (r, T1[i], T2[j])
+    for a column r, and the values have shape (len(r), len(i)).
     """
 
     r: float | np.ndarray
@@ -151,11 +141,8 @@ class RowMeasures:
 
 
 def symmetric_row(r: float, T: np.ndarray) -> RowMeasures:
-    """Measures at (r, T, T) for a whole array of T at once.
-
-    Each measure is evaluated over the row only when read, so only an
-    entropy search builds weights.
-    """
+    """Measures at (r, T, T) for a 1-D array of T in [0, 1], each
+    evaluated over the whole row only when read."""
     T = np.asarray(T, dtype=float)
     if T.ndim != 1:
         raise ParameterError("T must be a 1-D array")
@@ -202,18 +189,13 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
           engine: str = "closed_form") -> RegionGrid:
     """Evaluate one quantity's enhancement delta over a full (r, T1, T2) grid.
 
-    engine selects the evaluation route: "closed_form" evaluates the
-    closed forms (truncation-free sums, and the weights for the entropy),
-    "oracle" re-simulates the heralded circuit per point and takes the
-    fidelity by the CF quadrature.  The two agree to round-off; the
-    oracle route exists as a cross-check and is much slower.  Output ordering
-    is row-major over (r, T1, T2).  Points whose heralding probability
-    underflows are reported as NaN.
-
-    Where the T1 and T2 axes are equal bit for bit (so 0.0 and -0.0
-    differ), the closed form evaluates only the cells T1 <= T2 and
-    mirrors each value, which is exact because every quantity is
-    swap-symmetric bit for bit (see _blocked_values).
+    engine "closed_form" evaluates the closed forms; "oracle"
+    re-simulates the heralded circuit per point and takes the fidelity
+    by the CF quadrature, a much slower cross-check that agrees to
+    round-off.  Output ordering is row-major over (r, T1, T2).  Points
+    whose heralding probability underflows are NaN.  Where the T1 and T2
+    axes are equal bit for bit, the closed form evaluates the cells
+    T1 <= T2 and mirrors them, exactly (see _blocked_values).
     """
     if engine not in ("closed_form", "oracle"):
         raise ParameterError(f"unknown engine {engine!r}")
@@ -267,24 +249,18 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
     """One array per quantity over the grid r x T1 x T2, or r x T along
     T1 = T2 when T2 is None.
 
-    The grid is evaluated as a table of rows and columns:
+    The grid is a table of rows and columns:
     * symmetric: rows are the r, columns the T, each cell (T, T);
     * general: rows are the (r, T1) pairs in row-major order, columns
       the T2;
-    * triangle: where the T1 and T2 axes are equal bit for bit, rows
-      are the r and columns the pairs (T[i], T[j]) with i <= j, in
-      row-major order, evaluated as RowMeasures' pairs.  Each value is
-      written to both (i, j) and (j, i): closed_head pairs T1 with T2
-      only through commutative + and *, and the entropy's weights
-      multiply as f_r (g1 g2), so every quantity is swap-symmetric bit
-      for bit.
+    * triangle: where the T1 and T2 axes are equal bit for bit (so 0.0
+      and -0.0 differ), rows are the r and columns the pairs (T[i], T[j])
+      with i <= j, each value written to both (i, j) and (j, i).  Every
+      quantity is swap-symmetric bit for bit, so this is exact.
 
-    Each block holds at most SWEEP_BLOCK doubles of working set at
-    CLOSED_CELL_DOUBLES per cell, whatever the quantity (closed_entropy
-    chunks the entropy's weights).  A block takes whole rows while one
-    fits, else part of one row, and indexes its operands by its row and
-    column numbers: no array but the outputs is larger than an axis or
-    a block.
+    A block holds whole rows, or part of one, and at most SWEEP_BLOCK
+    doubles of working set; no array but the outputs is larger than an
+    axis or a block.
     """
     n = len(T1)
     if T2 is None:
@@ -343,14 +319,6 @@ def _check_search(name: str, quantity: str, tol: float) -> None:
                              f"{1.0 / GRID_CAP:g}, got {tol}")
 
 
-def _refine(quantity: str, r: float, lo, hi):
-    """POLISH_POINTS evenly spaced T from each lo to each hi, and their
-    deltas, from one symmetric_row call; both have shape
-    broadcast(lo, hi) + (POLISH_POINTS,)."""
-    T = np.linspace(lo, hi, POLISH_POINTS, axis=-1)
-    return T, symmetric_row(r, T.ravel()).deltas(quantity).reshape(T.shape)
-
-
 def _entropy_delta_bound(r: float, T: np.ndarray) -> np.ndarray:
     """An upper bound on the entropy delta at (r, T, T) for each T:
     formulas.closed_entropy_bound, less the baseline, plus
@@ -366,17 +334,14 @@ def _search_deltas(quantity: str, r: float, T: np.ndarray, rank: bool) -> np.nda
     needs: whether any T enhances and, when rank, which T is the first
     of the largest deltas.
 
-    EPR and fidelity deltas are all computed.  For the entropy,
-    _entropy_delta_bound bounds every delta from above, and the exact
-    delta (symmetric_row) is computed in waves, the next only while no
-    computed delta enhances: the cell of the largest bound (when rank,
-    or when that bound exceeds ENHANCEMENT_GUARD), then every cell
-    whose bound exceeds ENHANCEMENT_GUARD, then, when rank, every cell
-    whose bound reaches the largest computed delta.  Every other cell
-    is NaN: none of them can enhance, and each lies strictly below the
-    largest computed delta, so the first-occurrence nanargmax of the
-    result is the whole row's.  A cell's exact delta does not depend
-    on the other cells of its symmetric_row call.
+    The entropy's exact delta, which does not depend on the other cells
+    of its row, is computed in waves while none enhances: the cell of
+    the largest _entropy_delta_bound (when rank, or when that bound
+    exceeds ENHANCEMENT_GUARD), every cell whose bound exceeds the
+    guard, then, when rank, every cell whose bound reaches the largest
+    computed delta.  Every other cell is NaN: none can enhance, and each
+    lies strictly below the largest computed delta, so the
+    first-occurrence nanargmax of the result is the whole row's.
     """
     if quantity != "entropy":
         return symmetric_row(r, T).deltas(quantity)
@@ -401,12 +366,9 @@ def _search_deltas(quantity: str, r: float, T: np.ndarray, rank: bool) -> np.nda
 def _enhancement_exists(quantity: str, r: float) -> bool:
     """True if some symmetric T in (0, 1) gives a positive delta at this r.
 
-    Dense scan first (step 1e-3), then a refine of the two cells around
-    the best scan point in case the maximum slips between grid points.
-    Both take their deltas from _search_deltas, so the entropy's exact
-    sum runs only at the cells that its closed-form bound cannot
-    settle; the answer, and the scan's best point, are those of the
-    whole rows.
+    A step-1e-3 scan, then a refine of the two cells around its best
+    point in case the maximum slips between scan points.  The answer is
+    that of the exact deltas at every scan and refine cell.
     """
     T = np.arange(T_SCAN_STEP, 1.0, T_SCAN_STEP)
     deltas = _search_deltas(quantity, r, T, rank=True)
@@ -420,14 +382,11 @@ def _enhancement_exists(quantity: str, r: float) -> bool:
 def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
     """Bisect for the largest r with any enhancing symmetric T.
 
-    Brackets on r in [0.01, 2.0]; raises if no enhancement is found even
-    at the lower end, which would signal an implementation regression.
-    Each step asks _enhancement_exists, whose answer is that of the
-    exact deltas at every scan and refine cell; for the entropy it
-    computes them only where the closed-form bound cannot settle the
-    cell, so r_star is the exhaustive search's bit for bit at a few
-    dozen exact cells (29 at the default tol, where the exhaustive
-    search took 13,890).  tol must be finite and at least 1 / GRID_CAP.
+    Brackets on r in [0.01, 2.0]; raises RuntimeError if no enhancement
+    is found even at the lower end, which would signal an implementation
+    regression.  Each step asks _enhancement_exists, so r_star is the
+    exhaustive search's bit for bit.  tol must be finite and at least
+    1 / GRID_CAP.
     """
     _check_search("threshold", quantity, tol)
     lo, hi = R_BRACKET
@@ -453,22 +412,25 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
 
     Returns a list of (lo, hi) tuples, possibly empty when r lies above
     the quantity's threshold.  A scan at step min(tol, 1e-3), closed by
-    T = 0 and 1, brackets each edge; _refine splits every bracket into
-    POLISH_POINTS - 1 cells, and the endpoint is the midpoint of the cell
+    T = 0 and 1, brackets each edge; POLISH_POINTS evenly spaced T split
+    every bracket, and the endpoint is the midpoint of the refine cell
     the edge falls in, so within step / 256 of an edge that crosses its
-    bracket once.  tol must be finite and at least 1 / GRID_CAP.
+    bracket once.  tol must be finite and at least 1 / GRID_CAP.  Raises
+    ParameterError for an invalid r, or where a scan cell's entropy
+    needs a truncation above the cap.
     """
     _check_search("t_range", quantity, tol)
-    make_params(r, 0.0, 0.0)  # validates r
     step = min(tol, T_SCAN_STEP)
     T = np.concatenate(([0.0], np.arange(step, 1.0, step), [1.0]))
-    values, = _blocked_values((quantity,), np.array([r]), T[1:-1])
-    deltas = delta(quantity, values[0], _baseline(quantity, r))
+    # Rows of at most SWEEP_BLOCK doubles of working set; no delta reads its row-mates.
+    parts = np.array_split(T[1:-1], 1 + (len(T) - 3) // (SWEEP_BLOCK // CLOSED_CELL_DOUBLES))
+    deltas = np.concatenate([symmetric_row(r, part).deltas(quantity) for part in parts])
     inside = np.concatenate(([False], deltas > ENHANCEMENT_GUARD, [False]))
     # Bracket k runs from T[edges[k]] to T[edges[k] + 1]; rising and
     # falling edges alternate.
     edges = np.flatnonzero(np.diff(inside))
-    T_fine, fine = _refine(quantity, r, T[edges], T[edges + 1])
+    T_fine = np.linspace(T[edges], T[edges + 1], POLISH_POINTS, axis=-1)
+    fine = symmetric_row(r, T_fine.ravel()).deltas(quantity).reshape(T_fine.shape)
     fine_inside = fine > ENHANCEMENT_GUARD
     # The scan decided the bracket's ends; the refine only places the edge.
     fine_inside[:, 0] = inside[edges]

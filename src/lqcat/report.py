@@ -17,17 +17,13 @@ def report(params: CatalysisParams) -> MeasureReport:
     """Evaluate p_cd, entropy, EPR and fidelity with their baselines.
 
     p_cd, the EPR variance and the fidelity come from the truncation-free
-    closed forms (formulas.closed_measures).  The entropy comes from the
-    per-N kernel behind formulas.closed_entropy, called once on the
-    weights at N = choose_truncation(params): params is already
-    validated, so the point skips closed_entropy's second make_params
-    and class lookup, and its entropy equals its cell's in any row or
-    grid bit for bit.
-    Raises DegeneratePostselectionError where the heralding probability
-    is not above NORM_FLOOR.  The published moment polynomials in formulas
-    (epr_closed, fidelity_closed) are kept as cross-checks only, since
-    both are known to disagree with the exact spectrum (see their
-    docstrings).
+    closed forms (formulas.closed_measures), the entropy from
+    formulas.closed_entropy's per-N kernel at N = choose_truncation(params),
+    so it equals its cell's in any row or grid bit for bit.  Raises
+    DegeneratePostselectionError where the heralding probability is not
+    above NORM_FLOOR.  The published polynomials formulas.epr_closed and
+    fidelity_closed are cross-checks only: both disagree with the exact
+    spectrum (see their docstrings).
     """
     p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
     check_norm(p_cd)

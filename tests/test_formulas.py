@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from lqcat import formulas
 from lqcat.formulas import (
     closed_entropy,
     closed_head,
@@ -22,7 +23,6 @@ from lqcat.formulas import (
     mean_photon_a,
     mean_photon_b,
     pair_correlation,
-    state_coefficients,
     success_probability,
     tmsvs_entropy,
     tmsvs_epr,
@@ -312,19 +312,22 @@ class TestSchmidtWeights:
                     assert point.tobytes() == grid[i, j].tobytes(), (a, b)
 
     def test_cells_at_are_the_broadcast_cells(self):
-        # With at, each operand's factor table covers the elements that
-        # the cells read: a slice of its span where the cells are dense,
-        # the marked elements where they are sparse.  Either way each
-        # cell's weights are the broadcast call's bit for bit.
+        # _weights_at, closed_entropy's weights path, builds each
+        # operand's factor table over the elements that the cells at
+        # read: a slice of its span where the cells are dense, the marked
+        # elements where they are sparse.  Either way each cell's weights
+        # are the broadcast call's bit for bit.
         r = np.array([0.3, 1.1, 2.0])[:, None, None]
         T1 = np.array([0.0, 0.4, 2 / 3, 1.0])[:, None]
         T2 = np.array([0.2, 0.5, 0.7, 0.9, 1.0])
         for operands in ((r, T1, T2), (r, T2, T2), (1.1, T1, T2[1:2])):
             whole = closed_weights(*operands, 30).reshape(-1, 31)
+            shape = np.broadcast_shapes(*map(np.shape, operands))
             for at in (np.arange(60), np.arange(7, 19), np.array([0, 13, 59]),
                        np.array([4, 5, 6, 25, 26, 27, 46])):
                 at = np.unique(at % len(whole))
-                got = closed_weights(*operands, 30, at)
+                weights = formulas._weights_at(*operands, 30, shape, at)
+                got = weights(slice(None), np.empty((2, len(at), 31)))
                 assert got.tobytes() == whole[at].tobytes()
 
     def test_normalized_when_given_pcd(self):
@@ -339,16 +342,23 @@ class TestSchmidtWeights:
         # The projected state is (c0 + c1 a+b+ + c2 a+^2 b+^2) applied to a
         # squeezed vacuum of parameter lam, which pins every weight to
         # w_n = [c0 q^n + c1 n q^(n-1) + c2 n(n-1) q^(n-2)] / cosh(lam).
-        coeff = state_coefficients(params)
-        q = math.tanh(params.lam)
+        # The coefficients, normalized by the heralding probability:
+        R1, R2 = 1.0 - params.T1, 1.0 - params.T2  # squared reflectances
+        u = math.tanh(params.r)
         p = success_probability(params)
+        denom = math.sqrt(p) * math.cosh(params.r)
+        ch = math.cosh(params.lam)
+        c0 = params.t1 * params.t2 * ch / denom
+        c1 = (R1 * R2 - R1 * params.T2 - R2 * params.T1) * u * ch / denom
+        c2 = R1 * R2 * u * math.sinh(params.lam) / denom
+        q = math.tanh(params.lam)
         weights = closed_weights(params.r, params.T1, params.T2, 7) / math.sqrt(p)
         for n in range(8):
-            expect = coeff.c0 * q**n
+            expect = c0 * q**n
             if n >= 1:
-                expect += coeff.c1 * n * q ** (n - 1)
+                expect += c1 * n * q ** (n - 1)
             if n >= 2:
-                expect += coeff.c2 * n * (n - 1) * q ** (n - 2)
+                expect += c2 * n * (n - 1) * q ** (n - 2)
             expect /= math.cosh(params.lam)
             assert weights[n] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 

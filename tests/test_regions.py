@@ -593,7 +593,7 @@ class TestThreshold:
             threshold("pcd")
         with pytest.raises(ParameterError):
             threshold("entropy", tol=0.0)
-        # t_range checks its r itself; the grid evaluator does not.
+        # t_range checks its r through symmetric_row.
         for r in (-0.1, 1000.0, math.nan):
             with pytest.raises(ParameterError):
                 t_range("epr", r)
@@ -615,8 +615,8 @@ def _exhaustive_enhancement_exists(quantity, r):
     best = int(np.nanargmax(deltas))
     if deltas[best] > ENHANCEMENT_GUARD:
         return True
-    _, fine = regions._refine(quantity, r, T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)])
-    return bool(np.nanmax(fine) > ENHANCEMENT_GUARD)
+    fine = np.linspace(T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)], regions.POLISH_POINTS)
+    return bool(np.nanmax(regions.symmetric_row(r, fine).deltas(quantity)) > ENHANCEMENT_GUARD)
 
 
 class TestEntropyBound:
@@ -753,6 +753,42 @@ class TestTRange:
         mid = 0.5 * (lo + hi)
         row = symmetric_row(0.3, np.array([mid]))
         assert row.deltas("fidelity")[0] > 0.0
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
+    def test_searches_never_reach_the_grid_evaluator(self, quantity, monkeypatch):
+        # Both searches scan symmetric rows; only sweeps and audits are grids.
+        monkeypatch.setattr(regions, "_blocked_values", None)
+        assert t_range(quantity, 0.2)
+        assert threshold(quantity, 1e-2).r_star < regions.R_BRACKET[1]
+
+    def test_above_the_truncation_cap(self):
+        # At r = 3 the entropy's scan cells near T = 1 need more terms
+        # than the cap allows; a bound that settled every cell would
+        # return [] instead.  The EPR and fidelity sums need no truncation
+        # and enhance nowhere.
+        with pytest.raises(ParameterError, match="truncation above the cap"):
+            t_range("entropy", 3.0)
+        assert t_range("epr", 3.0) == []
+        assert t_range("fidelity", 3.0) == []
+
+    def test_fine_scan_is_blocked(self, monkeypatch):
+        # At tol = 1e-6 the scan has 999,999 cells.  As one row it peaked
+        # at 290 MiB; in rows of SWEEP_BLOCK doubles, at 23 MiB, which is
+        # the scan's few arrays of one value per cell.
+        tracemalloc.start()
+        try:
+            ends = t_range("epr", 0.2, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * 10**6 + (8 << 20)
+        (lo, hi), = ends
+        assert 0.12 < lo < 0.14 and 0.24 < hi < 0.26
+        # No value depends on the rows: ten rows at tol = 1e-5 give what
+        # one row gives.
+        fine = {q: t_range(q, 0.2, tol=1e-5) for q in regions.MEASURES}
+        monkeypatch.setattr(regions, "SWEEP_BLOCK", 1 << 40)
+        assert fine == {q: t_range(q, 0.2, tol=1e-5) for q in regions.MEASURES}
 
 
 def _per_row_deltas(resolution):
