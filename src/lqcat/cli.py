@@ -86,17 +86,13 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _meta_line(no_meta: bool) -> list:
-    return [] if no_meta else [f"# lqcat {__version__}"]
-
-
 def _grid_csv(grid: RegionGrid, no_meta: bool) -> str:
     """One CSV line per grid cell, row-major; a symmetric grid has T2 = T1.
 
     Each axis value and baseline is formatted once, and each line by one
     %-format: "%.17g" % x is _fmt(x), nan, inf and -0.0 included.
     """
-    lines = _meta_line(no_meta)
+    lines = [] if no_meta else [f"# lqcat {__version__}"]
     lines.append(CSV_HEADER)
     r, T1, baselines = ([_fmt(x) for x in axis.tolist()]
                         for axis in (grid.axis_r, grid.axis_T1, grid.baselines))
@@ -122,8 +118,21 @@ def _json_dump(obj, no_meta: bool) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
+def _transmittances(args) -> tuple:
+    """(T1, T2) as given, each None where absent: --t sets both, and
+    conflicts with --t1/--t2."""
+    if args.t is None:
+        return args.t1, args.t2
+    if args.t1 is not None or args.t2 is not None:
+        raise ParameterError("--t conflicts with --t1/--t2")
+    return args.t, args.t
+
+
 def cmd_measure(args) -> int:
-    params = make_params(args.r, args.t1, args.t2)
+    T1, T2 = _transmittances(args)
+    if T1 is None or T2 is None:
+        raise ParameterError("measure needs --t1 and --t2, or --t")
+    params = make_params(args.r, T1, T2)
     closed = report(params)
     oracle = None
     if args.engine in ("oracle", "both"):
@@ -146,7 +155,7 @@ def cmd_measure(args) -> int:
 
     if args.json:
         payload = {
-            "r": args.r, "T1": args.t1, "T2": args.t2,
+            "r": args.r, "T1": T1, "T2": T2,
             "engine": args.engine,
             "p_cd": primary.p_cd,
             "measures": measures,
@@ -158,7 +167,7 @@ def cmd_measure(args) -> int:
         return EXIT_OK
 
     lines = [
-        f"r  = {_fmt(args.r)}   T1 = {_fmt(args.t1)}   T2 = {_fmt(args.t2)}",
+        f"r  = {_fmt(args.r)}   T1 = {_fmt(T1)}   T2 = {_fmt(T2)}",
         f"p_cd      {_fmt(primary.p_cd)}",
         f"{'quantity':<10}{'value':<24}{'baseline':<24}{'delta':<24}enhanced",
     ]
@@ -176,6 +185,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    T1, T2 = _transmittances(args)
     r_axis = _parse_axis(args.r)
     if args.t is not None:
         if args.engine == "oracle":
@@ -183,9 +193,9 @@ def cmd_sweep(args) -> int:
                                  "--t1/--t2 for --engine oracle")
         grid = symmetric_sweep(args.quantity, r_axis, _parse_axis(args.t))
     else:
-        t1 = _parse_axis(args.t1) if args.t1 else _default_t_axis(args.t_grid)
-        t2 = _parse_axis(args.t2) if args.t2 else _default_t_axis(args.t_grid)
-        grid = sweep(args.quantity, r_axis, t1, t2, engine=args.engine)
+        T1, T2 = (_default_t_axis(args.t_grid) if axis is None else _parse_axis(axis)
+                  for axis in (T1, T2))
+        grid = sweep(args.quantity, r_axis, T1, T2, engine=args.engine)
     _write_text(args.output, _grid_csv(grid, args.no_meta))
     return EXIT_OK
 
@@ -351,13 +361,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default=None,
-                   help="output file (default: stdout)")
-    p.add_argument("--no-meta", action="store_true",
-                   help="omit the tool-version metadata line")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqcat",
@@ -380,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "simulates the circuit and takes the fidelity by "
                         "a fixed 120-node CF quadrature, checked at 240")
     p.add_argument("--json", action="store_true", help="emit JSON")
-    _add_common(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="grid sweep of one quantity's delta")
@@ -395,46 +397,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cell count for default T axes, midpoints of (0,1)")
     p.add_argument("--engine", choices=("closed_form", "oracle"),
                    default="closed_form")
-    _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("threshold", help="largest enhancing r (symmetric T)")
     p.add_argument("--quantity", choices=MEASURES, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
-    _add_common(p)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("regions", help="common feasibility region CSV")
     p.add_argument("--resolution", type=int, default=200)
-    _add_common(p)
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("table", help="pairwise enhancement implication audit")
     p.add_argument("--resolution", type=int, default=200)
-    _add_common(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="closed forms vs brute-force cross-check")
     p.add_argument("--grid", choices=tuple(VERIFY_GRIDS), default="coarse")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
+
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default=None,
+                       help="output file (default: stdout)")
+        p.add_argument("--no-meta", action="store_true",
+                       help="omit the tool-version metadata line")
     return parser
-
-
-def _resolve_symmetric(args) -> None:
-    if getattr(args, "t", None) is not None and isinstance(args.t, float):
-        if args.t1 is not None or args.t2 is not None:
-            raise ParameterError("--t conflicts with --t1/--t2")
-        args.t1 = args.t2 = args.t
-    if args.command == "measure" and (args.t1 is None or args.t2 is None):
-        raise ParameterError("measure needs --t1 and --t2, or --t")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_symmetric(args)
         return args.func(args)
     except (ParameterError, DegeneratePostselectionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -404,22 +404,18 @@ def _entropy(p, terms=None):
     return np.where(resolvable, entropy_bits(p, terms), np.nan)
 
 
-def _tail_basis(z, degree: int) -> list:
-    """[sum_{m>=0} m^j z^m for j = 0..degree], degree 4 or 5.
+def _tail_basis(z) -> list:
+    """[sum_{m>=0} m^j z^m for j = 0..4].
 
     Each is A_j(z) / (1 - z)^(j+1) with A_j the Eulerian polynomial
     (1; z; z + z^2; z + 4z^2 + z^3; ...).  The coefficients of A_j are
-    positive, so these do not cancel as z -> 1.  The degree-5 term, the
-    dearest, is built only when asked for.
+    positive, so these do not cancel as z -> 1.
     """
     w = 1.0 / (1.0 - z)
     zw = z * w
-    basis = [w, zw * w, (1.0 + z) * zw * w * w,
-             (1.0 + z * (4.0 + z)) * zw * w * w * w,
-             (1.0 + z * (11.0 + z * (11.0 + z))) * zw * w * w * w * w]
-    if degree == 5:
-        basis.append((1.0 + z * (26.0 + z * (66.0 + z * (26.0 + z)))) * zw * w * w * w * w * w)
-    return basis
+    return [w, zw * w, (1.0 + z) * zw * w * w,
+            (1.0 + z * (4.0 + z)) * zw * w * w * w,
+            (1.0 + z * (11.0 + z * (11.0 + z))) * zw * w * w * w * w]
 
 
 def _series(f, basis):
@@ -428,6 +424,14 @@ def _series(f, basis):
     for coeff, b in zip(f[1:], basis[1:]):
         total = total + coeff * b
     return total
+
+
+def _series5(f, z, basis):
+    """_series for a quintic f: basis, a _tail_basis(z), with the
+    degree-5 term sum_{m>=0} m^5 z^m added."""
+    w = basis[0]
+    return _series(f, basis + [(1.0 + z * (26.0 + z * (66.0 + z * (26.0 + z))))
+                               * (z * w) * w * w * w * w * w])
 
 
 def _square(c) -> tuple:
@@ -477,8 +481,8 @@ def closed_measures(r, T1, T2):
 def closed_head(r, T1, T2) -> tuple:
     """The shared head of closed_measures: p_cd first, then the terms
     that closed_epr, closed_fidelity and closed_photons sum their tails
-    from.  Each value is closed_measures' bit for bit; see there for the
-    sums and operands."""
+    from, last the norm's n >= 2 terms over u^2 x.  Each value is
+    closed_measures' bit for bit; see there for the sums and operands."""
     if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
         r, T1, T2 = _operands(r, T1, T2)
     if isinstance(r, np.ndarray):
@@ -494,19 +498,20 @@ def closed_head(r, T1, T2) -> tuple:
     Q1 = (T1 - R1) * (T2 - R2)
     Q2 = (T1 - 2.0 * R1) * (T2 - 2.0 * R2)
     Q3m = _shifted_Q(T1, R1, T2, R2, 3)
-    x_basis = _tail_basis(x, 5)
+    x_basis = _tail_basis(x)
 
-    # sum_n Q(n)^2 x^n / (T1 T2).
-    norm = T12 + u2 * (Q1 * Q1 + x * (Q2 * Q2 + x * _series(_square(Q3m), x_basis)))
+    # sum_n Q(n)^2 x^n / (T1 T2), and its terms n >= 2 over u^2 x.
+    tail = Q2 * Q2 + x * _series(_square(Q3m), x_basis)
+    norm = T12 + u2 * (Q1 * Q1 + x * tail)
 
     p_cd = norm / ch2
-    return p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis
+    return p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis, tail
 
 
 def closed_epr(head: tuple):
     """The EPR variance from closed_head's head; NaN where p_cd is not
     above NORM_FLOOR."""
-    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis = head
+    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis, _ = head
     # sum_n (n+1) (Q(n) - q Q(n+1))^2 x^n / (T1 T2); the n >= 3 terms
     # are (m + 4) d(m)^2 with d(m) = Q(m+3) - q Q(m+4).
     Q4m = _shifted_Q(T1, R1, T2, R2, 4)
@@ -515,7 +520,7 @@ def closed_epr(head: tuple):
                    4.0 * d2[3] + d2[2], 4.0 * d2[4] + d2[3], d2[4])
     spread = (t12 - u * Q1) ** 2 + u2 * (
         2.0 * (Q1 - q * Q2) ** 2 + x * (
-            3.0 * (Q2 - q * Q3m[0]) ** 2 + x * _series(spread_tail, x_basis)))
+            3.0 * (Q2 - q * Q3m[0]) ** 2 + x * _series5(spread_tail, x, x_basis)))
     # Arithmetic on floats, numpy scalars or 0-d arrays gives a scalar.
     if not isinstance(p_cd, np.ndarray):
         return 2.0 * spread / norm if p_cd > NORM_FLOOR else math.nan
@@ -526,7 +531,7 @@ def closed_epr(head: tuple):
 def closed_fidelity(head: tuple):
     """The teleportation fidelity from closed_head's head; NaN where p_cd
     is not above NORM_FLOOR."""
-    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis = head
+    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis, _ = head
     # sum_k D(k) q^k / (T1 T2), with D(0) = Q(0)^2, D(1) = Q(0) Q(1) and
     # D(2) = (Q(0) Q(2) + Q(1)^2) / 2.  For k = m + 3, k(k-1)/4 is
     # (6 + 5m + m^2)/4 and k(k-1)(k^2-k+2) is (48, 70, 39, 10, 1) in m.
@@ -540,7 +545,7 @@ def closed_fidelity(head: tuple):
            0.25 * l1 + 10.0 * corner,
            corner)
     overlap = T12 + q * Q1 + u2 * (
-        0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q, 4)))
+        0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q)))
     if not isinstance(p_cd, np.ndarray):
         return overlap / (2.0 * norm) if p_cd > NORM_FLOOR else math.nan
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -553,17 +558,16 @@ def closed_photons(head: tuple) -> tuple:
     of the tail n >= 2 and excess = sum_{n>=2} (n - 2) p_n, so the mean
     photon number <n> = <a+a> = <b+b> is p_1 + 2 rho + excess.
 
-    rho is the n >= 2 part of the head's norm, u^2 x tail / norm, summed
-    again here as the head sums it, and excess the one further series
+    rho is the n >= 2 part of the head's norm, u^2 x tail / norm, with
+    the head's tail, and excess the one further series
     u^2 x^2 sum_{m>=0} (m+1) Q(m+3)^2 x^m / norm, so every part is a sum
     of non-negative terms and nothing cancels.  NaN where p_cd is not
     above NORM_FLOOR.
     """
-    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis = head
+    p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis, tail = head
     s = _square(Q3m)
-    tail = Q2 * Q2 + x * _series(s, x_basis)
     # (m + 1) Q(m+3)^2 as coefficients, lowest power first.
-    beyond = _series((s[0], s[0] + s[1], s[1] + s[2], s[2] + s[3], s[3] + s[4], s[4]), x_basis)
+    beyond = _series5((s[0], s[0] + s[1], s[1] + s[2], s[2] + s[3], s[3] + s[4], s[4]), x, x_basis)
     norm = np.where(p_cd > NORM_FLOOR, norm, np.nan)
     return (T12 / norm, u2 * (Q1 * Q1) / norm, u2 * (x * tail) / norm,
             u2 * (x * (x * beyond)) / norm)

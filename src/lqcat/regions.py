@@ -134,6 +134,8 @@ class RowMeasures:
         return closed_entropy(r, self.T1[:, None], self.T2, cells.ravel()).reshape(cells.shape)
 
     def values(self, quantity: str) -> np.ndarray:
+        if quantity not in QUANTITIES:
+            raise ParameterError(f"unknown quantity {quantity!r}")
         return getattr(self, quantity)
 
     def deltas(self, quantity: str) -> np.ndarray:
@@ -244,6 +246,12 @@ def _sweep(quantity: str, r_values, T1_values, T2_values, engine: str):
                       baselines=baselines)
 
 
+def _block_cells() -> int:
+    """The cells of one sweep block or search row: SWEEP_BLOCK doubles
+    of working set, and at least one."""
+    return max(1, SWEEP_BLOCK // CLOSED_CELL_DOUBLES)
+
+
 def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
                     T2: np.ndarray | None = None) -> list:
     """One array per quantity over the grid r x T1 x T2, or r x T along
@@ -287,7 +295,7 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
         def block(rows, cols):
             i, j = divmod(np.arange(rows.start, rows.stop), n)
             return RowMeasures(r=r[i, None], T1=T1[j, None], T2=T2[cols]), (cols,)
-    cells = max(1, SWEEP_BLOCK // CLOSED_CELL_DOUBLES)
+    cells = _block_cells()
     rows, cols = max(1, cells // table[1]), min(table[1], cells)
     outs = [np.empty(shape) for _ in quantities]
     for start in range(0, table[0], rows):
@@ -423,7 +431,7 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     step = min(tol, T_SCAN_STEP)
     T = np.concatenate(([0.0], np.arange(step, 1.0, step), [1.0]))
     # Rows of at most SWEEP_BLOCK doubles of working set; no delta reads its row-mates.
-    parts = np.array_split(T[1:-1], 1 + (len(T) - 3) // (SWEEP_BLOCK // CLOSED_CELL_DOUBLES))
+    parts = np.array_split(T[1:-1], 1 + (len(T) - 3) // _block_cells())
     deltas = np.concatenate([symmetric_row(r, part).deltas(quantity) for part in parts])
     inside = np.concatenate(([False], deltas > ENHANCEMENT_GUARD, [False]))
     # Bracket k runs from T[edges[k]] to T[edges[k] + 1]; rising and

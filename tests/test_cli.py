@@ -217,6 +217,25 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "--t1/--t2" in err
 
+    @pytest.mark.parametrize("given", [["--t1", "0.3"], ["--t2", "0.4"],
+                                       ["--t1", "0.3", "--t2", "0.4"]],
+                             ids=["t1", "t2", "both"])
+    def test_symmetric_axis_conflicts_with_t1_t2(self, capsys, given):
+        # sweep used to drop --t1/--t2 beside --t and print the diagonal;
+        # measure rejects the same arguments.
+        for command in (["sweep", "--quantity", "epr", "--no-meta"], ["measure"]):
+            code, out, err = run(capsys, *command, "--r", "0.5", "--t", "0.5", *given)
+            assert (code, out, err) == (2, "", "error: --t conflicts with --t1/--t2\n")
+
+    @pytest.mark.parametrize("flag", ["--t1", "--t2", "--t"])
+    def test_empty_axis_is_an_error(self, capsys, flag):
+        # An empty --t1 or --t2 used to fall back to the default axis.
+        other = [] if flag == "--t" else ["--t2" if flag == "--t1" else "--t1", "0.5"]
+        code, out, err = run(capsys, "sweep", "--quantity", "epr", "--r", "0.5",
+                             flag, "", *other, "--no-meta")
+        assert (code, out) == (2, "")
+        assert err == "error: could not convert string to float: ''\n"
+
     def test_bad_axis_exits_before_any_work(self, capsys):
         # A negative T used to reach numpy's sqrt (a RuntimeWarning) before
         # the axis check.

@@ -200,6 +200,15 @@ class TestSymmetricRow:
         with pytest.raises(ParameterError):
             symmetric_row(0.5, np.array([1.5]))
 
+    @pytest.mark.parametrize("name", ["_head", "negativity", "values", "r"])
+    def test_unknown_quantity(self, name):
+        # Any attribute name used to pass: "_head" returned the private
+        # head tuple from values and raised KeyError from deltas.
+        row = symmetric_row(0.5, np.array([0.2, 0.5]))
+        for read in (row.values, row.deltas):
+            with pytest.raises(ParameterError, match="unknown quantity"):
+                read(name)
+
 
 class TestSweep:
     def test_shapes_and_sign_conventions(self):
@@ -789,6 +798,13 @@ class TestTRange:
         fine = {q: t_range(q, 0.2, tol=1e-5) for q in regions.MEASURES}
         monkeypatch.setattr(regions, "SWEEP_BLOCK", 1 << 40)
         assert fine == {q: t_range(q, 0.2, tol=1e-5) for q in regions.MEASURES}
+
+    def test_small_block(self, monkeypatch):
+        # A SWEEP_BLOCK below CLOSED_CELL_DOUBLES used to divide the scan
+        # by zero cells per row; the sweeps already took one cell.
+        scans = {q: t_range(q, 0.2) for q in regions.MEASURES}
+        monkeypatch.setattr(regions, "SWEEP_BLOCK", 7)
+        assert scans == {q: t_range(q, 0.2) for q in regions.MEASURES}
 
 
 def _per_row_deltas(resolution):
