@@ -34,10 +34,12 @@ from .model import (
     make_params,
 )
 from .regions import (
+    DEFAULT_TOL,
     GRID_CAP,
     MEASURES,
     QUANTITIES,
     RegionGrid,
+    _block_cells,
     common_region,
     implication_table,
     sweep,
@@ -78,22 +80,15 @@ def _parse_axis(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
-def _grid_csv(grid: RegionGrid, no_meta: bool) -> str:
-    """One CSV line per grid cell, row-major; a symmetric grid has T2 = T1.
+def _grid_csv(grid: RegionGrid, no_meta: bool):
+    """Yield the CSV text: the header, then the lines of _block_cells()
+    cells at a time.  One line per grid cell, row-major; a symmetric grid
+    has T2 = T1.
 
     Each axis value and baseline is formatted once, and each line by one
     %-format: "%.17g" % x is _fmt(x), nan, inf and -0.0 included.
     """
-    lines = [] if no_meta else [f"# lqcat {__version__}"]
-    lines.append(CSV_HEADER)
+    yield ("" if no_meta else f"# lqcat {__version__}\n") + CSV_HEADER + "\n"
     r, T1, baselines = ([_fmt(x) for x in axis.tolist()]
                         for axis in (grid.axis_r, grid.axis_T1, grid.baselines))
     rows = itertools.product(zip(r, baselines), T1)
@@ -104,12 +99,14 @@ def _grid_csv(grid: RegionGrid, no_meta: bool) -> str:
         cells = ((ri, t1, t2, base)
                  for ((ri, base), t1), t2 in itertools.product(rows, T2))
     flags = ("false", "true")
-    for (ri, t1, t2, base), value, delta, enhanced in zip(
-            cells, grid.raw.ravel().tolist(), grid.values.ravel().tolist(),
-            grid.enhanced.ravel().tolist()):
-        lines.append("%s,%s,%s,%s,%.17g,%s,%.17g,%s" % (
-            ri, t1, t2, grid.quantity, value, base, delta, flags[enhanced]))
-    return "\n".join(lines) + "\n"
+    columns = grid.raw.ravel(), grid.values.ravel(), grid.enhanced.ravel()
+    step = _block_cells()
+    for k in range(0, columns[0].size, step):
+        # cells comes last, so zip stops without taking a cell past the block.
+        yield "".join("%s,%s,%s,%s,%.17g,%s,%.17g,%s\n" % (
+            ri, t1, t2, grid.quantity, value, base, delta, flags[enhanced])
+            for value, delta, enhanced, (ri, t1, t2, base) in zip(
+                *(column[k:k + step].tolist() for column in columns), cells))
 
 
 def _json_dump(obj, no_meta: bool) -> str:
@@ -128,7 +125,7 @@ def _transmittances(args) -> tuple:
     return args.t, args.t
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> tuple:
     T1, T2 = _transmittances(args)
     if T1 is None or T2 is None:
         raise ParameterError("measure needs --t1 and --t2, or --t")
@@ -163,8 +160,7 @@ def cmd_measure(args) -> int:
         if args.engine == "both":
             payload["oracle"] = {k: getattr(oracle, k) for k in fields}
             payload["abs_diff"] = diffs
-        _write_text(args.output, _json_dump(payload, args.no_meta))
-        return EXIT_OK
+        return EXIT_OK, [_json_dump(payload, args.no_meta)]
 
     lines = [
         f"r  = {_fmt(args.r)}   T1 = {_fmt(T1)}   T2 = {_fmt(T2)}",
@@ -180,11 +176,10 @@ def cmd_measure(args) -> int:
         lines.append("engine comparison (|closed_form - oracle|):")
         for k, diff in diffs.items():
             lines.append(f"  {k:<10}{_fmt(diff)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, ["\n".join(lines) + "\n"]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     T1, T2 = _transmittances(args)
     r_axis = _parse_axis(args.r)
     if args.t is not None:
@@ -196,15 +191,14 @@ def cmd_sweep(args) -> int:
         T1, T2 = (_default_t_axis(args.t_grid) if axis is None else _parse_axis(axis)
                   for axis in (T1, T2))
         grid = sweep(args.quantity, r_axis, T1, T2, engine=args.engine)
-    _write_text(args.output, _grid_csv(grid, args.no_meta))
-    return EXIT_OK
+    return EXIT_OK, _grid_csv(grid, args.no_meta)
 
 
 def _default_t_axis(n: int) -> np.ndarray:
     return (np.arange(_axis_count(n)) + 0.5) / n
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple:
     result = threshold(args.quantity, tol=args.tol)
     examples = {}
     for r in (0.2, round(0.5 * result.r_star, 3)):
@@ -218,17 +212,15 @@ def cmd_threshold(args) -> int:
         "tol": result.tolerance,
         "t_range_examples": examples,
     }
-    _write_text(args.output, _json_dump(payload, args.no_meta))
-    return EXIT_OK
+    return EXIT_OK, [_json_dump(payload, args.no_meta)]
 
 
-def cmd_regions(args) -> int:
+def cmd_regions(args) -> tuple:
     grid = common_region(resolution=args.resolution)
-    _write_text(args.output, _grid_csv(grid, args.no_meta))
-    return EXIT_OK
+    return EXIT_OK, _grid_csv(grid, args.no_meta)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple:
     table = implication_table(resolution=args.resolution)
     pairs = []
     for e in table.entries:
@@ -247,8 +239,7 @@ def cmd_table(args) -> int:
             "witness": witness,
         })
     payload = {"resolution": table.resolution, "pairs": pairs}
-    _write_text(args.output, _json_dump(payload, args.no_meta))
-    return EXIT_OK
+    return EXIT_OK, [_json_dump(payload, args.no_meta)]
 
 
 VERIFY_GRIDS = {
@@ -302,7 +293,7 @@ def _twin_fock_residual(r, T2) -> float:
                abs(p - expect_p))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     """Cross-check every closed form against the brute-force routes.
 
     Hard checks (any failure exits 1): closed-form spectrum and p_cd
@@ -357,8 +348,7 @@ def cmd_verify(args) -> int:
 
     status = "PASS" if failures == 0 else "FAIL"
     out.append(f"VERIFY: {status} ({failures} hard failures, 2 documented warnings)")
-    _write_text(args.output, "\n".join(out) + "\n")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    return EXIT_OK if failures == 0 else EXIT_VERIFY, ["\n".join(out) + "\n"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="largest enhancing r (symmetric T)")
     p.add_argument("--quantity", choices=MEASURES, required=True)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("regions", help="common feasibility region CSV")
@@ -425,19 +415,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, then write its output to --output, or to stdout
+    for none or '-'.
+
+    Each command returns (exit code, text pieces) and computes its whole
+    result before the output is opened, so an error leaves no output,
+    except an OSError while writing (exit 4), which leaves the bytes
+    already written.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParameterError, DegeneratePostselectionError, ValueError) as exc:
+        code, pieces = args.func(args)
+        if args.output in (None, "-"):
+            sys.stdout.writelines(pieces)
+        else:
+            with open(args.output, "w", newline="") as fh:
+                fh.writelines(pieces)
+        return code
+    except (ValueError, DegeneratePostselectionError, QuadratureError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except QuadratureError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONVERGENCE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
+        return (EXIT_CONVERGENCE if isinstance(exc, QuadratureError)
+                else EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ module imports this one at module level, so `import lqcat` loads no scipy.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -68,27 +67,17 @@ def _sector_states(c: float, s: float, size: int):
         yield psi
 
 
-# Amplitudes for a few dozen transmittances: each entry holds 3 x size
-# doubles, at most 96 KB at size 4096.
+# Amplitudes for a few dozen transmittances: each entry holds 2 x size
+# doubles, at most 64 KB at size 4096.
 @lru_cache(maxsize=64)
 def bs_sector(c: float, s: float, size: int) -> np.ndarray:
-    """Rows <n,1|psi_n>, <1,n|psi_n> and ||psi_n||^2 / (c^2 + s^2)^(n+1)
-    over n = 0..size-1 of the sector states psi_n = B|n,1> of
-    _sector_states, read-only.
-
-    The last row checks the steps' round-off: psi_n is homogeneous of
-    degree n+1 in (c, s), so its squared norm is (c^2 + s^2)^(n+1), which
-    is 1 only to within the rounding of c and s.  The power is taken from
-    the exact rational c^2 + s^2 - 1, so the ratio is 1 up to the steps'
-    own round-off.
-    """
+    """Rows <n,1|psi_n> and <1,n|psi_n> over n = 0..size-1 of the sector
+    states psi_n = B|n,1> of _sector_states, read-only."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    out = np.empty((3, size))
+    out = np.empty((2, size))
     for n, psi in enumerate(_sector_states(c, s, size)):
-        out[:, n] = psi[1], psi[n], psi @ psi
-    excess = float(Fraction(c) ** 2 + Fraction(s) ** 2 - 1)
-    out[2] /= np.exp(np.arange(1, size + 1) * math.log1p(excess))
+        out[:, n] = psi[1], psi[n]
     out.setflags(write=False)
     return out
 

@@ -247,8 +247,8 @@ def _sweep(quantity: str, r_values, T1_values, T2_values, engine: str):
 
 
 def _block_cells() -> int:
-    """The cells of one sweep block or search row: SWEEP_BLOCK doubles
-    of working set, and at least one."""
+    """The cells of one sweep block, search row or CLI CSV block:
+    SWEEP_BLOCK doubles of working set, and at least one."""
     return max(1, SWEEP_BLOCK // CLOSED_CELL_DOUBLES)
 
 

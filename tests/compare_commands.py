@@ -8,9 +8,11 @@ PARENT and CHANGE are the roots of two checkouts of this repository.
 Every argv of cli_commands.txt, the file next to this script, runs as
 `python3 -m lqcat.cli ARGV --no-meta` once per checkout, with that
 checkout's src/ as PYTHONPATH, OPENBLAS_NUM_THREADS=1 and an empty
-working directory; the two runs of one command go side by side.  Each
-command whose exit code, stdout or stderr differs is printed with the
-first line that differs, the number of lines that differ, the largest
+working directory; the two runs of one command go side by side.  Every
+stream and file is read as bytes, with no newline translation.  Each
+command whose exit code, stdout, stderr or any file it wrote into its
+working directory (as with -o) differs is printed with the first line
+that differs, the number of lines that differ, the largest
 absolute difference between numeric fields (split on commas, whitespace
 and JSON punctuation), and whether any other field differs, such as
 true/false or NaN.  Exits 1 if any command differs, else 0.
@@ -44,8 +46,7 @@ def start(root: Path, argv: list[str], cwd: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.Popen(
         [sys.executable, "-m", "lqcat.cli", *argv, "--no-meta"],
-        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True)
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def first_difference(a: str, b: str) -> str:
@@ -89,16 +90,32 @@ def drift(a: str, b: str) -> str:
             f"{largest:.2g}, other fields {'differ' if other else 'equal'}")
 
 
+def written_files(cwd: str) -> dict[str, str]:
+    """Every file under cwd, by its path relative to cwd, with its text."""
+    root = Path(cwd)
+    return {str(p.relative_to(root)): p.read_bytes().decode(errors="replace")
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def compare(parent: Path, change: Path, argv: list[str]) -> list[str]:
-    """The differences between the two runs of one argv, one per stream."""
+    """The differences between the two runs of one argv, one per stream
+    or written file."""
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         runs = [start(parent, argv, a), start(change, argv, b)]
-        results = [run.communicate() + (run.returncode,) for run in runs]
+        results = [tuple(stream.decode(errors="replace") for stream in run.communicate())
+                   + (run.returncode,) for run in runs]
+        files_a, files_b = written_files(a), written_files(b)
     (out_a, err_a, code_a), (out_b, err_b, code_b) = results
     diffs = []
     if code_a != code_b:
         diffs.append(f"exit code: parent {code_a}, change {code_b}")
-    for name, x, y in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+    if files_a.keys() != files_b.keys():
+        diffs.append(f"files written: parent {sorted(files_a)}, "
+                     f"change {sorted(files_b)}")
+    streams = [("stdout", out_a, out_b), ("stderr", err_a, err_b)]
+    streams += [(f"file {name}", files_a[name], files_b[name])
+                for name in sorted(files_a.keys() & files_b.keys())]
+    for name, x, y in streams:
         if x != y:
             diffs.append(f"{name} {first_difference(x, y)}\n      {drift(x, y)}")
     return diffs
@@ -124,7 +141,7 @@ def main(argv: list[str]) -> int:
             for diff in diffs:
                 print(f"    {diff}")
     print(f"{differing} of {len(commands)} commands differ "
-          f"(exit code, stdout or stderr)")
+          f"(exit code, stdout, stderr or a written file)")
     return 1 if differing else 0
 
 

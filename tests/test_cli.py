@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqcat import cli, oracle
+from lqcat import cli, oracle, regions
 from lqcat.cli import build_parser, main
 from lqcat.model import normalize_weights
 
@@ -246,11 +246,55 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "T1 must be in [0, 1]" in err
 
+    def test_output_memory_is_bounded(self, capsys, tmp_path):
+        # The CSV is written one block of cells at a time, so the output
+        # costs a constant beyond the grid's own arrays.  Held whole as one
+        # string, this sweep's output peaked at 75.6 MiB.
+        T = (np.arange(100) + 0.5) / 100
+        grid = regions.sweep("pcd", np.linspace(0.1, 0.8, 20), T, T)
+        assert grid.raw.size == 200_000
+        arrays = sum(a.nbytes for a in (grid.raw, grid.values, grid.enhanced))
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "sweep", "--quantity", "pcd", "--r", "0.1:0.8:20",
+                             "--t-grid", "100", "-o", str(tmp_path / "grid.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < arrays + (8 << 20)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--quantity", "entropy", "--r", "0.1:0.8:3", "--t", "0.1:0.9:5"],
+        ["sweep", "--quantity", "epr", "--r", "0.1:0.8:3", "--t-grid", "4"],
+        ["sweep", "--quantity", "fidelity", "--r", "0.1:0.8:3",
+         "--t1", "0.1:0.9:4", "--t2", "0.2:0.8:3"],
+        ["regions", "--resolution", "100"],
+    ], ids=["symmetric", "equal-axes", "unequal-axes", "regions"])
+    def test_block_boundaries_keep_every_byte(self, capsys, monkeypatch, tmp_path,
+                                              argv):
+        outputs = set()
+        for cells in (1, 7, cli._block_cells()):
+            monkeypatch.setattr(cli, "_block_cells", lambda cells=cells: cells)
+            code, out, _ = run(capsys, *argv)
+            path = tmp_path / f"{cells}.csv"
+            assert (code, run(capsys, *argv, "-o", str(path))) == (0, (0, "", ""))
+            assert path.read_bytes() == out.encode()
+            outputs.add(out)
+        assert len(outputs) == 1
+
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "sweep", "--quantity", "pcd", "--r", "0.5",
                            "--t", "0.5", "-o", "/nonexistent/dir/out.csv")
         assert code == 4
         assert "error" in err
+
+    def test_invalid_input_writes_no_file(self, capsys, tmp_path):
+        # main opens --output only once the command has its whole result.
+        path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "sweep", "--quantity", "pcd", "--r", "0.5",
+                         "--t1=-0.5", "--t2", "0.5", "-o", str(path))
+        assert (code, path.exists()) == (2, False)
 
 
 class TestThreshold:
