@@ -481,14 +481,13 @@ def closed_measures(r, T1, T2):
 def closed_head(r, T1, T2) -> tuple:
     """The shared head of closed_measures: p_cd first, then the terms
     that closed_epr, closed_fidelity and closed_photons sum their tails
-    from, last the norm's n >= 2 terms over u^2 x.  Each value is
-    closed_measures' bit for bit; see there for the sums and operands."""
+    from, last the norm's n >= 2 terms over u^2 x.  The norm, second,
+    is NaN where p_cd is not above NORM_FLOOR, so every tail is.  Each
+    value is closed_measures' bit for bit; see there for the sums and
+    operands."""
     if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
         r, T1, T2 = _operands(r, T1, T2)
-    if isinstance(r, np.ndarray):
-        u, ch2 = _each_r(math.tanh, r), _each_r(lambda x: math.cosh(x) ** 2, r)
-    else:
-        u, ch2 = math.tanh(r), math.cosh(r) ** 2
+    u, ch2 = _each_r(math.tanh, r), _each_r(lambda x: math.cosh(x) ** 2, r)
     u2 = u * u
     R1, R2 = 1.0 - T1, 1.0 - T2
     T12 = T1 * T2
@@ -505,6 +504,10 @@ def closed_head(r, T1, T2) -> tuple:
     norm = T12 + u2 * (Q1 * Q1 + x * tail)
 
     p_cd = norm / ch2
+    if isinstance(p_cd, np.ndarray):
+        norm = np.where(p_cd > NORM_FLOOR, norm, np.nan)
+    elif not p_cd > NORM_FLOOR:
+        norm = math.nan
     return p_cd, norm, T1, T2, R1, R2, T12, u, u2, t12, q, x, Q1, Q2, Q3m, x_basis, tail
 
 
@@ -521,11 +524,7 @@ def closed_epr(head: tuple):
     spread = (t12 - u * Q1) ** 2 + u2 * (
         2.0 * (Q1 - q * Q2) ** 2 + x * (
             3.0 * (Q2 - q * Q3m[0]) ** 2 + x * _series5(spread_tail, x, x_basis)))
-    # Arithmetic on floats, numpy scalars or 0-d arrays gives a scalar.
-    if not isinstance(p_cd, np.ndarray):
-        return 2.0 * spread / norm if p_cd > NORM_FLOOR else math.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p_cd > NORM_FLOOR, 2.0 * spread / norm, np.nan)
+    return 2.0 * spread / norm
 
 
 def closed_fidelity(head: tuple):
@@ -546,10 +545,7 @@ def closed_fidelity(head: tuple):
            corner)
     overlap = T12 + q * Q1 + u2 * (
         0.5 * (T12 * Q2 + Q1 * Q1) + q * _series(D3m, _tail_basis(q)))
-    if not isinstance(p_cd, np.ndarray):
-        return overlap / (2.0 * norm) if p_cd > NORM_FLOOR else math.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p_cd > NORM_FLOOR, overlap / (2.0 * norm), np.nan)
+    return overlap / (2.0 * norm)
 
 
 def closed_photons(head: tuple) -> tuple:
@@ -568,7 +564,6 @@ def closed_photons(head: tuple) -> tuple:
     s = _square(Q3m)
     # (m + 1) Q(m+3)^2 as coefficients, lowest power first.
     beyond = _series5((s[0], s[0] + s[1], s[1] + s[2], s[2] + s[3], s[3] + s[4], s[4]), x, x_basis)
-    norm = np.where(p_cd > NORM_FLOOR, norm, np.nan)
     return (T12 / norm, u2 * (Q1 * Q1) / norm, u2 * (x * tail) / norm,
             u2 * (x * (x * beyond)) / norm)
 

@@ -195,9 +195,10 @@ def sweep(quantity: str, r_values, T1_values, T2_values,
     re-simulates the heralded circuit per point and takes the fidelity
     by the CF quadrature, a much slower cross-check that agrees to
     round-off.  Output ordering is row-major over (r, T1, T2).  Points
-    whose heralding probability underflows are NaN.  Where the T1 and T2
-    axes are equal bit for bit, the closed form evaluates the cells
-    T1 <= T2 and mirrors them, exactly (see _blocked_values).
+    whose heralding probability underflows are NaN.  The closed form
+    takes blocks of r rows against (T1, T2) pair columns; where the T1
+    and T2 axes are equal bit for bit, it evaluates the pairs T1 <= T2
+    and mirrors them, exactly (see _blocked_values).
     """
     if engine not in ("closed_form", "oracle"):
         raise ParameterError(f"unknown engine {engine!r}")
@@ -257,14 +258,13 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
     """One array per quantity over the grid r x T1 x T2, or r x T along
     T1 = T2 when T2 is None.
 
-    The grid is a table of rows and columns:
-    * symmetric: rows are the r, columns the T, each cell (T, T);
-    * general: rows are the (r, T1) pairs in row-major order, columns
-      the T2;
-    * triangle: where the T1 and T2 axes are equal bit for bit (so 0.0
-      and -0.0 differ), rows are the r and columns the pairs (T[i], T[j])
-      with i <= j, each value written to both (i, j) and (j, i).  Every
-      quantity is swap-symmetric bit for bit, so this is exact.
+    The grid is a table whose rows are the r:
+    * symmetric: columns are the T, each cell (T, T);
+    * general: columns are the pairs (T1[i], T2[j]) in row-major order,
+      or, where the T1 and T2 axes are equal bit for bit (so 0.0 and
+      -0.0 differ), only those with i <= j, each value written to both
+      (i, j) and (j, i).  Every quantity is swap-symmetric bit for bit,
+      so this triangle is exact.
 
     A block holds whole rows, or part of one, and at most SWEEP_BLOCK
     doubles of working set; no array but the outputs is larger than an
@@ -277,24 +277,24 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
         def block(rows, cols):
             T = T1[cols]
             return RowMeasures(r=r[rows, None], T1=T, T2=T), (cols,)
-    elif np.array_equal(T1.view(np.int64), T2.view(np.int64)):
-        shape, table = (len(r), n * n), (len(r), n * (n + 1) // 2)
-        # Row i of the triangle starts with pair number i n - i (i - 1) / 2.
-        i = np.arange(n)
-        first = i * n - i * (i - 1) // 2
+    else:
+        shape = table = len(r), n * len(T2)
+        if np.array_equal(T1.view(np.int64), T2.view(np.int64)):
+            table = len(r), n * (n + 1) // 2
+            # Row i of the triangle starts with pair number i n - i (i - 1) / 2.
+            i = np.arange(n)
+            first = i * n - i * (i - 1) // 2
 
         def block(rows, cols):
             pairs = np.arange(cols.start, cols.stop)
-            i = np.searchsorted(first, pairs, side="right") - 1
-            j = pairs - first[i] + i
-            return (RowMeasures(r=r[rows, None], T1=T1, T2=T1, pairs=(i, j)),
-                    (i * n + j, j * n + i))
-    else:
-        shape = table = len(r) * n, len(T2)
-
-        def block(rows, cols):
-            i, j = divmod(np.arange(rows.start, rows.stop), n)
-            return RowMeasures(r=r[i, None], T1=T1[j, None], T2=T2[cols]), (cols,)
+            if table == shape:
+                i, j = divmod(pairs, len(T2))
+                places = (cols,)
+            else:
+                i = np.searchsorted(first, pairs, side="right") - 1
+                j = pairs - first[i] + i
+                places = (i * n + j, j * n + i)
+            return RowMeasures(r=r[rows, None], T1=T1, T2=T2, pairs=(i, j)), places
     cells = _block_cells()
     rows, cols = max(1, cells // table[1]), min(table[1], cells)
     outs = [np.empty(shape) for _ in quantities]

@@ -13,7 +13,9 @@ First every operation below runs once per checkout, and its results are
 compared byte for byte: every RegionGrid field, raw and values among
 them, the ThresholdResult fields (the entropy's at tol 1e-4 too), the
 t_range lists, the implication entries and the report fields.  Both sets
-hold general sweeps on equal T1 and T2 axes and two on unequal axes.
+hold general sweeps on equal T1 and T2 axes and two on unequal axes,
+and two p_cd sweeps on unequal axes: a tall one, 400 r by 2,500 T1
+against one T2, and a wide one, one r and T1 against 200,000 T2.
 The check set also holds the audits at resolution 100, 199 and 400 and
 sweeps at r = 2 and on an r axis whose truncation classes mix.  Each
 operation that differs is printed with the largest absolute difference
@@ -57,6 +59,9 @@ T_OTHER = np.linspace(0.002, 0.998, 99)
 T_DIAGONAL = np.linspace(0.001, 0.999, 200)
 R_MIXED = np.linspace(0.5, 2.3, 7)
 T_MIXED = np.linspace(0.0, 1.0, 25)
+R_TALL = np.linspace(0.01, 0.8, 400)
+T_TALL = np.linspace(0.001, 0.999, 2500)
+T_WIDE = np.linspace(0.001, 0.999, 200_000)
 SAMPLE_SECONDS = 0.02
 POINTS = np.column_stack([np.random.default_rng(17).uniform(0.0, 1.5, 200),
                           np.random.default_rng(18).uniform(0.01, 1.0, 200),
@@ -77,6 +82,10 @@ def timed_operations() -> dict:
     for q in ("entropy", "fidelity"):
         ops[f"sweep.{q} 8 r x 100 x 99"] = (
             lambda m, q=q: m.regions.sweep(q, R_MAPS, T_SQUARE, T_OTHER))
+    ops["sweep.pcd tall 400 r x 2500 x 1"] = (
+        lambda m: m.regions.sweep("pcd", R_TALL, T_TALL, [0.5]))
+    ops["sweep.pcd wide 1 x 1 x 200000"] = (
+        lambda m: m.regions.sweep("pcd", [0.5], [0.999], T_WIDE))
     for q in QUANTITIES:
         ops[f"symmetric_sweep.{q} 8 r x 200"] = (
             lambda m, q=q: m.regions.symmetric_sweep(q, R_MAPS, T_DIAGONAL))

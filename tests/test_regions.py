@@ -59,6 +59,14 @@ def _reference_entropy(r, T1, T2):
         return float(-mpmath.fsum(x * mpmath.log(x, 2) for x in p))
 
 
+def cells(kw):
+    """The cells that one RowMeasures block, given by its keywords,
+    evaluates: its broadcast grid, or r by its pairs."""
+    if kw.get("pairs") is None:
+        return np.broadcast(kw["r"], kw["T1"], kw["T2"]).size
+    return np.size(kw["r"]) * len(kw["pairs"][0])
+
+
 special_T = st.one_of(st.sampled_from([0.0, 1e-16, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -300,11 +308,6 @@ class TestSweep:
         # bit for bit, so at every block size, and every chunk size of
         # the entropy, the grid is the whole evaluation's, NaN cells
         # included.
-        def cells(kw):
-            if kw.get("pairs") is None:
-                return np.broadcast(kw["r"], kw["T1"], kw["T2"]).size
-            return np.size(kw["r"]) * len(kw["pairs"][0])
-
         r, T = np.array(r), np.array(T)
         whole = RowMeasures(r[:, None, None], T[:, None], T).values(quantity)
         if quantity != "pcd":
@@ -412,7 +415,30 @@ class TestSweep:
             grid = sweep(quantity, r, T1, T2)
             whole = RowMeasures(r[:, None, None], T1[:, None], T2).values(quantity)
             assert grid.raw.tobytes() == whole.tobytes()
-            assert sum(np.broadcast(*kw.values()).size for kw in blocks) == whole.size
+            assert sum(map(cells, blocks)) == whole.size
+
+    def test_unequal_axes_take_r_rows(self, monkeypatch):
+        # The rows of every block are the r: each block's r is a slice of
+        # the r axis, with no r repeated, and its columns are (T1, T2)
+        # pairs.  At every block size the blocks cover the grid once.
+        r = np.linspace(0.1, 0.8, 12)
+        T1, T2 = np.linspace(0.05, 0.95, 9), np.linspace(0.1, 0.9, 4)
+        blocks = []
+        monkeypatch.setattr(regions, "RowMeasures",
+                            lambda **kw: blocks.append(kw) or RowMeasures(**kw))
+        for quantity, block in itertools.product(("entropy", "pcd"),
+                                                 (regions.SWEEP_BLOCK, 500, 7)):
+            blocks.clear()
+            monkeypatch.setattr(regions, "SWEEP_BLOCK", block)
+            grid = sweep(quantity, r, T1, T2)
+            for kw in blocks:
+                rows = kw["r"].ravel()
+                start = int(np.searchsorted(r, rows[0]))
+                assert rows.tobytes() == r[start:start + len(rows)].tobytes()
+                assert kw.get("pairs") is not None
+            assert sum(map(cells, blocks)) == grid.raw.size
+            whole = RowMeasures(r[:, None, None], T1[:, None], T2).values(quantity)
+            assert grid.raw.tobytes() == whole.tobytes(), (quantity, block)
 
     def test_triangle_is_blocked(self):
         # 1,500 equal T hold 1.1 M pairs: evaluated whole, the triangle
@@ -533,9 +559,9 @@ class TestSweep:
     def test_general_sweep_row_is_blocked(self, quantity, r, count, limit):
         # A float r is one T1 = 0.999 row against count T2.  When that row
         # was one block, the two peaked at 77.8 and 88.1 MiB.  An r axis
-        # is a tall grid: a million (r, T1) rows of one cell each, which
-        # peaked at 15.3 MiB evaluated one r at a time, and at 27.1 MiB
-        # when r and T1 were repeated over every row of the grid.
+        # is a tall grid: 400 rows of r, each of 2,500 (T1, T2) pairs.
+        # As a million (r, T1) rows of one cell each it peaked at 15.3
+        # MiB, and at 27.1 MiB when r and T1 were repeated over every row.
         T = np.linspace(0.001, 0.999, count)
         axes = ([r], [0.999], T) if np.ndim(r) == 0 else (r, T, [0.5])
         tracemalloc.start()
