@@ -3,16 +3,18 @@
 Two kinds live here.  The published coefficient tables are transcribed
 verbatim as explicit integer-coefficient monomial lists in (t1, t2), so a
 transcription error stays localized and diffable; they are cross-checks
-only.  closed_weights and closed_measures are derived from the heralded
-state itself, w~_n = Q(n) q^n / (t1 t2 cosh r): the first builds the
-weights, the second sums p_cd, the EPR variance and the teleportation
-fidelity over all n with no truncation.  The independent checks live in
-lqcat.oracle.
+only.  closed_weights, closed_measures and closed_entropy are derived
+from the heralded state itself, w~_n = Q(n) q^n / (t1 t2 cosh r): the
+first builds the weights, the second sums p_cd, the EPR variance and the
+teleportation fidelity over all n with no truncation, and the third sums
+the entropy by the chain rule from the second's head and per-T tables of
+the weights' logarithms.  The independent checks live in lqcat.oracle.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +27,6 @@ from .model import (
     CatalysisParams,
     check_norm,
     choose_truncation,
-    entropy_bits,
     make_params,
     normalize_weights,
 )
@@ -180,24 +181,27 @@ def published_success_probability(params: CatalysisParams) -> float:
     return p0 * acc
 
 
-# Room for the 8 truncation classes and a few other N: each entry holds
-# 3 x (N + 1) doubles, about 140 kB for all classes.
-@lru_cache(maxsize=16)
-def _index_arrays(N: int) -> tuple:
-    """n, n + 1 and max(n - 1, 0) for n = 0..N as read-only floats
+# Working set of one sweep block, in doubles (4 MiB).  closed_measures
+# holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
+# takes 10,485 cells of any quantity.  No value depends on the block size.
+SWEEP_BLOCK = 1 << 19
+CLOSED_CELL_DOUBLES = 50
+# Below this many cells at one r, closed_entropy takes each cell as a
+# point, the same bits: the array head's fixed cost is some six points'.
+_FEW_CELLS = 8
+
+
+# Room for the 8 truncation classes from n = 0 and from n = 2, and a few
+# other N: each entry holds 3 x (N + 1) doubles, about 280 kB for all.
+@lru_cache(maxsize=32)
+def _index_arrays(N: int, first: int = 0) -> tuple:
+    """n, n + 1 and max(n - 1, 0) for n = first..N as read-only floats
     (exact, so no call casts them)."""
-    n = np.arange(N + 1.0)
+    n = np.arange(float(first), N + 1.0)
     arrays = (n, n + 1.0, np.maximum(n - 1.0, 0.0))
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-# Weights per chunk of closed_entropy, N + 1 per cell.  A call's one
-# buffer holds a chunk's weights and terms, at most twice this many
-# doubles (1 MiB).  Each operand's factor table holds at most this many
-# doubles too, and so does an as-is factor's temporary.
-ENTROPY_CHUNK = 1 << 16
 
 
 def _operands(*xs):
@@ -213,98 +217,18 @@ def _each_r(f, r):
     return np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
 
 
-def _factor(x, N: int, of_r: bool, out=None):
+def _factor(x, N: int, of_r: bool):
     """tanh(x)^n / cosh(x) when of_r, else g_n(x), for n = 0..N: of a
-    float, or of each element of a float array along a new last axis,
-    written into out when given."""
+    float, or of each element of a float array along a new last axis."""
     n, n1, power = _index_arrays(N)
-    if isinstance(x, float):
-        if of_r:
-            return math.tanh(x) ** n / math.cosh(x)
-        t = math.sqrt(x)
-        f = (n1 * x - n) * t**power
-    else:
+    if not isinstance(x, float):
         x = x[..., None]
-        if of_r:
-            return np.divide(np.power(_each_r(math.tanh, x), n, out=out),
-                             _each_r(math.cosh, x), out=out)
-        t = np.sqrt(x)
-        f = np.subtract(np.multiply(n1, x, out=out), n, out=out)
-        f *= t**power
+    if of_r:
+        return _each_r(math.tanh, x) ** n / _each_r(math.cosh, x)
+    t = np.sqrt(x)
+    f = (n1 * x - n) * t**power
     f[..., :1] = t
     return f
-
-
-def _element_index(operand_shape: tuple, shape: tuple, at: np.ndarray):
-    """The flat index into an operand of operand_shape, broadcast to
-    shape, of the element that each cell at (flat indices in shape)
-    reads, by index arithmetic on at."""
-    index, cell_stride, stride = 0, 1, 1
-    padded = (1,) * (len(shape) - len(operand_shape)) + tuple(operand_shape)
-    for size, own in zip(reversed(shape), reversed(padded)):
-        if own > 1:
-            index = index + at // cell_stride % size * stride
-        cell_stride, stride = cell_stride * size, stride * own
-    return index
-
-
-def _at_cells(x, shape: tuple, at: np.ndarray):
-    """x's element at each cell at (flat indices in shape); a float or
-    one-element x as its one element."""
-    if isinstance(x, np.ndarray) and x.size > 1:
-        return x.reshape(-1)[_element_index(x.shape, shape, at)]
-    return np.reshape(x, -1)
-
-
-def _touched(operand_shape: tuple, shape: tuple, at: np.ndarray):
-    """The elements of an operand of operand_shape, broadcast to shape,
-    that the cells at read, and each cell's position among them, with
-    no sort: their span as a slice where it holds at most len(at), else
-    the distinct ones, so never more than len(at)."""
-    index = _element_index(operand_shape, shape, at)
-    low, high = int(index.min()), int(index.max())
-    index -= low
-    if high - low < len(at):
-        return slice(low, high + 1), index
-    mark = np.zeros(high - low + 1, dtype=bool)
-    mark[index] = True
-    return np.flatnonzero(mark) + low, (np.cumsum(mark) - 1)[index]
-
-
-def _rows(x, N: int, of_r: bool, shape: tuple, cells: np.ndarray):
-    """x's factor (_factor) at the cells, flat indices in shape, as a
-    function of a slice of cells and an out array for their rows.  A
-    table over the elements that the cells read (_touched) is built once
-    where it holds at most ENTROPY_CHUNK doubles, else once per slice."""
-    if isinstance(x, float) or x.size == 1:
-        row = _factor(x if isinstance(x, float) else x.reshape(-1), N, of_r)
-        return lambda part, out: row
-    flat = x.reshape(-1)
-    if x.size == math.prod(shape):
-        return lambda part, out: _factor(flat[cells[part]], N, of_r, out)
-    elements, inverse = _touched(x.shape, shape, cells)
-    if (values := flat[elements]).size * (N + 1) <= ENTROPY_CHUNK:
-        table = _factor(values, N, of_r)
-        return lambda part, out: np.take(table, inverse[part], axis=0, out=out, mode="clip")
-
-    def rows(part, out):
-        own, index = _touched(x.shape, shape, cells[part])
-        return np.take(_factor(flat[own], N, of_r), index, axis=0, out=out, mode="clip")
-    return rows
-
-
-def _weights_at(r, T1, T2, N: int, shape: tuple, cells: np.ndarray):
-    """closed_weights at the cells, flat indices in shape, as a function
-    of a slice of cells and a (2, its length, N + 1) array out: the
-    weights go to out[0], which it returns, and out[1] is scratch."""
-    f_r, g1 = _rows(r, N, True, shape, cells), _rows(T1, N, False, shape, cells)
-    g2 = g1 if T2 is T1 else _rows(T2, N, False, shape, cells)
-
-    def weights(part, out):
-        g = g1(part, out[0])
-        g = np.multiply(g, g if g2 is g1 else g2(part, out[1]), out=out[0])
-        return np.multiply(f_r(part, out[1]), g, out=out[0])
-    return weights
 
 
 def closed_weights(r, T1, T2, N: int) -> np.ndarray:
@@ -334,74 +258,6 @@ def closed_spectrum(params: CatalysisParams):
     """
     raw = closed_weights(params.r, params.T1, params.T2, choose_truncation(params))
     return normalize_weights(raw)
-
-
-def closed_entropy(r, T1, T2, at=None):
-    """Entanglement entropy in bits, broadcast over r, T1 and T2, or at
-    the cells whose flat indices in that broadcast shape are at.
-
-    Each cell is truncated at the class of its own q = t1 t2 tanh r, as
-    choose_truncation does, and summed by _entropy in chunks of at most
-    ENTROPY_CHUNK weights.  So a cell's value is report's bit for bit,
-    whatever row, grid, chunk or set of cells holds it, the working set
-    stays bounded, and the entropy is swap-symmetric bit for bit.
-
-    Floats give a numpy float64, at gives an array of its length, and
-    other operands are taken as float arrays.  The entropy is NaN where
-    the weights' squared norm is not above NORM_FLOOR.  Raises
-    ParameterError where make_params does at the smallest or largest r,
-    T1 and T2, or choose_truncation at a cell.
-    """
-    r, T1, T2 = _operands(r, T1, T2)
-    for end in (np.min, np.max):
-        make_params(*(float(end(a, initial=0.0)) for a in (r, T1, T2)))
-    shape = np.broadcast_shapes(np.shape(r), np.shape(T1), np.shape(T2))
-    if at is None:
-        q = np.sqrt(T1) * np.sqrt(T2) * _each_r(math.tanh, r)
-    else:
-        at = np.asarray(at)
-        q = np.broadcast_to(_at_cells(np.sqrt(T1), shape, at) * _at_cells(np.sqrt(T2), shape, at)
-                            * _at_cells(_each_r(math.tanh, r), shape, at), at.shape)
-    label = np.searchsorted(CLASS_LIMITS, q).reshape(-1)
-    if (top := label.max(initial=0)) == len(CLASS_LIMITS):
-        cell = np.flatnonzero(label == top)[:1]
-        cell = cell if at is None else at[cell]
-        choose_truncation(make_params(*(float(_at_cells(a, shape, cell)[0])
-                                        for a in (r, T1, T2))))
-    out = np.empty(label.shape)
-    classes = []
-    for k in range(label.min(initial=top), top + 1):
-        if len(part := np.flatnonzero(label == k)):
-            N = ENTROPY_CLASSES[k][0]
-            classes.append((N, part, min(max(1, ENTROPY_CHUNK // (N + 1)), len(part))))
-    # One buffer serves each class in turn, as its chunks' weights and terms.
-    buffer = np.empty(max((2 * chunk * (N + 1) for N, _, chunk in classes), default=0))
-    for N, part, chunk in classes:
-        buffers = buffer[:2 * chunk * (N + 1)].reshape(2, chunk, N + 1)
-        weights = _weights_at(r, T1, T2, N, shape, part if at is None else at[part])
-        for start in range(0, len(part), chunk):
-            into = buffers[:, :len(part[start:start + chunk])]
-            out[part[start:start + chunk]] = _entropy(
-                weights(slice(start, start + chunk), into), into[1])
-    return out.reshape(shape)[()] if at is None else out
-
-
-def _entropy(p, terms=None):
-    """Entropy in bits of the weights p along their last axis, NaN where
-    their squared norm is not above NORM_FLOOR: the per-N kernel of
-    closed_entropy and report.  p is squared in place, and terms, an
-    array of p's shape, takes entropy_bits' terms where given.  A 1-D p
-    is a point, whose entropy is its cell's bit for bit."""
-    np.square(p, out=p)
-    norm2 = p.sum(axis=-1)
-    if p.ndim == 1:
-        if not norm2 > NORM_FLOOR:
-            return np.float64(np.nan)
-        p /= norm2
-        return entropy_bits(p)
-    resolvable = norm2 > NORM_FLOOR
-    p /= np.where(resolvable, norm2, 1.0)[..., None]
-    return np.where(resolvable, entropy_bits(p, terms), np.nan)
 
 
 def _tail_basis(z) -> list:
@@ -566,6 +422,172 @@ def closed_photons(head: tuple) -> tuple:
     beyond = _series5((s[0], s[0] + s[1], s[1] + s[2], s[2] + s[3], s[3] + s[4], s[4]), x, x_basis)
     return (T12 / norm, u2 * (Q1 * Q1) / norm, u2 * (x * tail) / norm,
             u2 * (x * (x * beyond)) / norm)
+
+
+def _tables(T, N: int) -> tuple:
+    """G_n(T) = g_n(T)^2 and log2 G_n(T), for n = 2..N along a new last
+    axis of the 1-D array T; log2 0 is read as log2 of the smallest
+    subnormal, so that G log2 G is 0 where G is."""
+    n, n1, power = _index_arrays(N, 2)
+    T = T[:, None]
+    G = n1 * T
+    G -= n
+    G *= G
+    G *= (L := T**power)
+    return G, np.log2(np.maximum(G, _SMALLEST_SUBNORMAL, out=L), out=L)
+
+
+def _pair_terms(T1, i, T2, j, part: slice, N: int) -> np.ndarray:
+    """(G_n(T1[i]) G_n(T2[j])) (log2 G_n(T1[i]) + log2 G_n(T2[j])) for
+    n = 2..N, one row per pair (i, j) of the slice part, from tables of
+    the T that these read: their span where it is shorter than the
+    index, else the distinct elements."""
+    if T2 is T1 and j is i:
+        G, L = _tables(T1[i[part]], N)
+        return np.multiply(np.multiply(G, G, out=G), np.add(L, L, out=L), out=G)
+    terms = []
+    for T, index in ((T1, i[part]), (T2, j[part])):
+        low, high = int(index.min()), int(index.max())
+        at, index = ((slice(low, high + 1), index - low) if high - low < len(index)
+                     else np.unique(index, return_inverse=True))
+        terms += [np.take(table, index, axis=0) for table in _tables(T[at], N)]
+    G, L, G2, L2 = terms
+    return np.multiply(np.multiply(G, G2, out=G), np.add(L, L2, out=L), out=G)
+
+
+def _tail_sums(u2, T1, i, T2, j, N: int) -> np.ndarray:
+    """sum_{n=2..N} u2^n _pair_terms at the rows u2 (an (R, 1) array) by
+    the pairs, one einsum per chunk of pairs.  A chunk's tables hold
+    SWEEP_BLOCK / 32 doubles (128 KiB) each, so that they stay in a
+    core's cache: there the gathers and the einsum ran 2.5 times as fast
+    as on tables of a whole block (measured at N = 60)."""
+    U = u2 ** _index_arrays(N, 2)[0]
+    step = max(1, SWEEP_BLOCK // (32 * (N + 1)))
+    return np.concatenate([np.einsum("rn,pn->rp", U, _pair_terms(
+        T1, i, T2, j, slice(c, c + step), N), optimize=False)
+        for c in range(0, len(i), step)], axis=1)
+
+
+def _entropy(head, r, T1, T2, pairs=None, N=None):
+    """The entanglement entropy in bits of closed_head's state, with no
+    logarithm per cell.
+
+    With p_n the photon-number distribution and h(p) = -p log2 p, the
+    chain rule gives
+    S = h(p_0) + h(p_1) + rho log2 norm - log2(u^2) (2 rho + excess) - X / norm,
+    with p_0, p_1, rho and excess from closed_photons, norm = p_cd cosh^2 r
+    and X = sum_{n=2..N} u^(2n) G_n(T1) G_n(T2) (log2 G_n(T1) + log2 G_n(T2)),
+    G_n = g_n^2, whose logarithms are tabled per T.  The dominant one of
+    p_0 and p_1 (p >= 1/2) takes its log2 as log1p(-rest) / ln 2, rest
+    the other two masses, so S keeps its relative accuracy where it is
+    tiny.  Each cell sums X to the N of its own truncation class, by the
+    q = t1 t2 tanh r of choose_truncation, and the cells of one class
+    take one einsum of u^(2n) rows against pair columns per chunk
+    (_tail_sums).  The einsum sums each cell in one order whatever the
+    operands' shapes, so a cell's value is the same bits at a point and
+    in any row, block or chunk, and swapping T1 and T2 changes no bit.
+
+    head is closed_head's at a point, with r, T1 and T2 floats and N its
+    choose_truncation, or at r rows (a float or an (R, 1) array) by the
+    pairs (T1[i], T2[j]) of pairs = (i, j), index arrays into the 1-D
+    arrays T1 and T2.  NaN where p_cd is not above NORM_FLOOR.  Raises
+    ParameterError, through choose_truncation, where a cell needs a
+    truncation above the cap.
+    """
+    p0, p1, rho, excess = closed_photons(head)
+    norm, u, u2 = head[1], head[7], head[8]
+    if pairs is None:
+        G, L = _tables(np.array([T1, T2]), N)
+        X = np.einsum("rn,pn->rp", (u2 ** _index_arrays(N, 2)[0])[None],
+                      (G[:1] * G[1:]) * (L[:1] + L[1:]), optimize=False)[0, 0]
+    else:
+        i, j = pairs
+        t1 = np.sqrt(T1)[i]
+        label = np.searchsorted(CLASS_LIMITS, (t1 * (t1 if T2 is T1 and j is i else np.sqrt(
+            T2)[j])) * np.reshape(u, (-1, 1)))
+        low, top = (int(label.min()), int(label.max())) if label.size else (1, 0)
+        if top == len(CLASS_LIMITS):
+            row, k = divmod(int(np.argmax(label == top)), label.shape[1])
+            choose_truncation(make_params(float(np.ravel(r)[row]), float(T1[i[k]]),
+                                          float(T2[j[k]])))
+        rows, X = np.reshape(u2, (-1, 1)), np.zeros(label.shape)
+        if low == top:
+            X = _tail_sums(rows, T1, i, T2, j, ENTROPY_CLASSES[top][0])
+        for k in np.unique(label).tolist() if low < top else ():
+            at = label == k
+            row_at, column_at = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
+            I, cells = i[column_at], np.ix_(row_at, column_at)
+            X[cells] += np.where(at[cells], _tail_sums(
+                rows[row_at], T1, I, T2, I if j is i else j[column_at],
+                ENTROPY_CLASSES[k][0]), 0.0)
+        X = X.reshape(np.shape(p0))
+    # log2 u^2 per row, by libm; 0 log2 0 := 0 where r = 0.
+    log_u2 = _each_r(lambda x: math.log2(max(x, _SMALLEST_SUBNORMAL)), u2)
+    S = -(p0 * _log2_mass(p0, p1 + rho) + p1 * _log2_mass(p1, p0 + rho)) + (
+        rho * np.log2(norm) - log_u2 * (2.0 * rho + excess) - X / norm) + 0.0
+    # One NaN where the norm is NaN: the operands' shapes set its sign bit.
+    return np.where(np.isnan(norm), np.nan, S) if pairs else S if norm == norm else math.nan
+
+
+def _log2_mass(p, rest):
+    """log2 p of a mass p, taken as log1p(-rest) / ln 2, rest = 1 - p
+    summed from the other masses, where p >= 1/2."""
+    if isinstance(p, float):
+        return (np.log1p(-min(rest, 0.5)) / math.log(2.0) if p >= 0.5
+                else np.log2(max(p, _SMALLEST_SUBNORMAL)))
+    log = np.log2(np.maximum(p, _SMALLEST_SUBNORMAL))
+    np.copyto(log, np.log1p(-np.minimum(rest, 0.5)) / math.log(2.0), where=p >= 0.5)
+    return log
+
+
+def closed_entropy(r, T1, T2):
+    """Entanglement entropy in bits, broadcast over r, T1 and T2.
+
+    The chain-rule sum of _entropy, at each r in blocks of cells whose
+    head holds at most SWEEP_BLOCK doubles, so the working set stays
+    bounded; an r of fewer than _FEW_CELLS cells takes each as a point.
+    Each cell is truncated at the class of its own q = t1 t2 tanh r, as
+    choose_truncation does, so a cell's value is report's bit for bit,
+    whatever row, grid or block holds it, and the entropy is
+    swap-symmetric bit for bit.
+
+    Floats give a numpy float64; other operands are taken as float
+    arrays.  The entropy is NaN where the weights' squared norm is not
+    above NORM_FLOOR.  Raises ParameterError where make_params does at
+    the smallest or largest r, T1 and T2, or choose_truncation at a
+    cell.
+    """
+    r, T1, T2 = _operands(r, T1, T2)
+    for end in (np.min, np.max):
+        make_params(*(float(end(a, initial=0.0)) for a in (r, T1, T2)))
+    return _broadcast_entropy(r, T1, T2)
+
+
+def _broadcast_entropy(r, T1, T2):
+    """closed_entropy with no check of the ranges of r, T1 and T2, taken
+    as floats or float arrays."""
+    shape = np.broadcast_shapes(np.shape(r), np.shape(T1), np.shape(T2))
+    # Each cell's element of r, T1 and T2, as broadcast views: no copy.
+    rows, i, j = (np.broadcast_to(np.arange(np.size(a)).reshape(np.shape(a)), shape)
+                  for a in (r, T1, T2))
+    j = i if T2 is T1 else j
+    T1 = np.ravel(T1)
+    T2 = T1 if j is i else np.ravel(T2)
+    out = np.empty(rows.size)
+    step = max(1, SWEEP_BLOCK // CLOSED_CELL_DOUBLES)
+    for row, x in enumerate(np.ravel(r).tolist()):
+        cells = np.flatnonzero(rows == row)
+        if len(cells) < _FEW_CELLS:
+            for c in cells.tolist():
+                a, b = float(T1[i.flat[c]]), float(T2[j.flat[c]])
+                out[c] = _entropy(closed_head(x, a, b), x, a, b,
+                                  N=choose_truncation(make_params(x, a, b)))
+            continue
+        for start in range(0, len(cells), step):
+            part = cells[start:start + step]
+            a, b = (i.flat[part],) * 2 if j is i else (i.flat[part], j.flat[part])
+            out[part] = _entropy(closed_head(x, T1[a], T2[b]), x, T1, T2, (a, b))
+    return out.reshape(shape)[()]
 
 
 def closed_entropy_bound(head: tuple):

@@ -173,15 +173,12 @@ def choose_truncation(params: CatalysisParams) -> int:
     return ENTROPY_CLASSES[k][0]
 
 
-def entropy_bits(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def entropy_bits(p: np.ndarray) -> np.ndarray:
     """Von Neumann entanglement entropy in bits over the last axis of
-    Schmidt probabilities p_n = w_n^2, with 0 log 0 := 0.  out, an array
-    of p's shape, holds the terms where given."""
+    Schmidt probabilities p_n = w_n^2, with 0 log 0 := 0."""
     # Every p > 0 is at least the smallest subnormal, so only p = 0 is
     # raised, and it still contributes 0 * log2(tiny) = 0.
-    terms = np.log2(np.maximum(p, _SMALLEST_SUBNORMAL, out=out), out=out)
-    terms *= p
-    return -terms.sum(axis=-1) + 0.0
+    return -(np.log2(np.maximum(p, _SMALLEST_SUBNORMAL)) * p).sum(axis=-1) + 0.0
 
 
 def entropy_of(spectrum: SchmidtSpectrum) -> float:

@@ -5,13 +5,14 @@ squeezing parameter, enhancing-transmittance intervals, the pairwise
 implication audit over the three measures, and their common region.
 
 p_cd, the EPR variance and the fidelity come from the truncation-free
-closed forms of formulas.closed_measures; the entropy is the one N-term
-sum over the closed-form weights, which the threshold search skips
-wherever formulas.closed_entropy_bound settles a cell.  The standalone
-published moment polynomials are not used: they disagree with the exact
-spectrum, and the spectrum is what the brute-force circuit simulation
-certifies.  The circuit oracle and the CF quadrature serve only
-sweep(engine="oracle"), which imports lqcat.oracle when it runs.
+closed forms of formulas.closed_measures; the entropy is the chain-rule
+sum of formulas._entropy over the same head and per-T log tables, which
+the threshold search skips wherever formulas.closed_entropy_bound
+settles a cell.  The standalone published moment polynomials are not
+used: they disagree with the exact spectrum, and the spectrum is what
+the brute-force circuit simulation certifies.  The circuit oracle and
+the CF quadrature serve only sweep(engine="oracle"), which imports
+lqcat.oracle when it runs.
 
 "Enhanced" always means the delta against the un-catalyzed baseline at
 the same squeezing exceeds a small guard band, so round-off at the
@@ -28,8 +29,11 @@ from functools import cached_property
 import numpy as np
 
 from .formulas import (
+    CLOSED_CELL_DOUBLES,
+    SWEEP_BLOCK,
+    _broadcast_entropy,
     _each_r,
-    closed_entropy,
+    _entropy,
     closed_entropy_bound,
     closed_epr,
     closed_fidelity,
@@ -50,12 +54,6 @@ QUANTITIES = ("entropy", "epr", "fidelity", "pcd")
 MEASURES = ("entropy", "epr", "fidelity")
 
 GRID_CAP = 10**7
-# Working set of one sweep block, in doubles (4 MiB).  closed_measures
-# holds about 50 doubles per cell at once (measured 50.0-51.1), so a block
-# takes 10,485 cells of any quantity; the entropy bounds its weights in
-# closed_entropy's own chunks.  No value depends on the block size.
-SWEEP_BLOCK = 1 << 19
-CLOSED_CELL_DOUBLES = 50
 R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
 POLISH_POINTS = 129
@@ -66,15 +64,17 @@ DEFAULT_TOL = 1e-3
 # delta can sit above it:
 # * truncation: the squared weight beyond N is below ENTROPY_EPS_TRUNC
 #   = 1e-16, which moves the entropy by about 50 eps = 5e-15 bits;
-# * the computed entropy's rounding: N + 1 <= 2049 terms p log2 p of a
-#   few ulp each, summing to at most 7 bits at r <= R_BRACKET[1] (6.4 at
-#   r = 2.4), so below 2049 x 7 x 2.2e-16 = 3.2e-12;
+# * the computed entropy's rounding: the chain rule's einsum sums
+#   N - 1 <= 2047 terms u^2n G G log2(G G) of a few ulp each, and with
+#   rho log2 norm and log2(u^2) (2 rho + excess) their absolute values
+#   sum to at most 5.8 bits at r <= 2.4 (measured on dense rows, at
+#   T = 0.999), so below 2049 x 5.8 x 2.2e-16 = 2.6e-12;
 # * the bound's and tmsvs_entropy's rounding: a few dozen operations on
 #   non-negative terms of at most 7 bits, below 1e-13.
-# That is below 3.4e-12 in all; 1e-9 leaves 290-fold room.  Measured on
-# dense rows for r <= 2.4: without slack the bound fell at most 4.5e-14
-# below the computed delta, near T = 1 at r = 2.385, where the tail is
-# almost geometric and the bound tight.
+# That is below 2.8e-12 in all; 1e-9 leaves 350-fold room.  Measured on
+# dense rows for r <= 2.4: without slack the bound fell at most 2.5e-14
+# below the computed delta, at T = 1 and r = 2.335, where the tail is
+# geometric and the bound exact.
 ENTROPY_BOUND_MARGIN = 1e-9
 
 
@@ -92,8 +92,9 @@ class RowMeasures:
     """Measures at the points (r, T1, T2) of a row or a grid block, all
     three broadcast against each other, each evaluated on first read and
     only then: p_cd, the EPR variance and the fidelity from the
-    truncation-free closed forms, and the entropy from
-    formulas.closed_entropy, which equals report at each point bit for
+    truncation-free closed forms, and the entropy by formulas._entropy,
+    from the same head where pairs are given, else as
+    formulas.closed_entropy; either equals report at each point bit for
     bit.  Where the heralding probability underflows, every measure but
     pcd is NaN.  With pairs = (i, j), the points are (r, T1[i], T2[j])
     for a column r, and the values have shape (len(r), len(i)).
@@ -126,12 +127,8 @@ class RowMeasures:
     @cached_property
     def entropy(self) -> np.ndarray:
         if self.pairs is None:
-            return closed_entropy(self.r, self.T1, self.T2)
-        i, j = self.pairs
-        r = np.reshape(self.r, (-1, 1, 1))
-        cells = np.arange(len(r))[:, None] * (len(self.T1) * len(self.T2)) + (
-            i * len(self.T2) + j)
-        return closed_entropy(r, self.T1[:, None], self.T2, cells.ravel()).reshape(cells.shape)
+            return _broadcast_entropy(self.r, self.T1, self.T2)
+        return _entropy(self._head, self.r, self.T1, self.T2, self.pairs)
 
     def values(self, quantity: str) -> np.ndarray:
         if quantity not in QUANTITIES:
@@ -266,17 +263,18 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
       (i, j) and (j, i).  Every quantity is swap-symmetric bit for bit,
       so this triangle is exact.
 
-    A block holds whole rows, or part of one, and at most SWEEP_BLOCK
-    doubles of working set; no array but the outputs is larger than an
-    axis or a block.
+    A block holds at most SWEEP_BLOCK doubles of working set: up to the
+    square root of its cells in rows, against as many columns as fill
+    it, so the entropy's tables and every column's T terms serve several
+    r.  No array but the outputs is larger than an axis or a block.
     """
     n = len(T1)
     if T2 is None:
         shape = table = len(r), n
 
         def block(rows, cols):
-            T = T1[cols]
-            return RowMeasures(r=r[rows, None], T1=T, T2=T), (cols,)
+            k = np.arange(cols.start, cols.stop)
+            return RowMeasures(r=r[rows, None], T1=T1, T2=T1, pairs=(k, k)), (cols,)
     else:
         shape = table = len(r), n * len(T2)
         if np.array_equal(T1.view(np.int64), T2.view(np.int64)):
@@ -296,7 +294,8 @@ def _blocked_values(quantities, r: np.ndarray, T1: np.ndarray,
                 places = (i * n + j, j * n + i)
             return RowMeasures(r=r[rows, None], T1=T1, T2=T2, pairs=(i, j)), places
     cells = _block_cells()
-    rows, cols = max(1, cells // table[1]), min(table[1], cells)
+    rows = min(table[0], math.isqrt(cells))
+    cols = max(1, cells // rows)
     outs = [np.empty(shape) for _ in quantities]
     for start in range(0, table[0], rows):
         row_slice = slice(start, min(start + rows, table[0]))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from .formulas import (
     _entropy,
-    closed_measures,
-    closed_weights,
+    closed_epr,
+    closed_fidelity,
+    closed_head,
     tmsvs_entropy,
     tmsvs_epr,
     tmsvs_fidelity,
@@ -16,20 +17,20 @@ from .model import CatalysisParams, MeasureReport, check_norm, choose_truncation
 def report(params: CatalysisParams) -> MeasureReport:
     """Evaluate p_cd, entropy, EPR and fidelity with their baselines.
 
-    p_cd, the EPR variance and the fidelity come from the truncation-free
-    closed forms (formulas.closed_measures), the entropy from
-    formulas.closed_entropy's per-N kernel at N = choose_truncation(params),
+    One closed_head serves all four: p_cd, the EPR variance and the
+    fidelity from its truncation-free closed forms, the entropy from its
+    chain-rule sum (formulas._entropy) at N = choose_truncation(params),
     so it equals its cell's in any row or grid bit for bit.  Raises
     DegeneratePostselectionError where the heralding probability is not
     above NORM_FLOOR.  The published polynomials formulas.epr_closed and
     fidelity_closed are cross-checks only: both disagree with the exact
     spectrum (see their docstrings).
     """
-    p_cd, epr, fidelity = closed_measures(params.r, params.T1, params.T2)
-    check_norm(p_cd)
-    N = choose_truncation(params)
-    entropy = float(_entropy(closed_weights(params.r, params.T1, params.T2, N)))
-    return _with_baselines(params, p_cd, entropy, epr, fidelity)
+    head = closed_head(params.r, params.T1, params.T2)
+    check_norm(head[0])
+    entropy = _entropy(head, params.r, params.T1, params.T2, N=choose_truncation(params))
+    return _with_baselines(params, head[0], float(entropy), closed_epr(head),
+                           closed_fidelity(head))
 
 
 def _with_baselines(params, p_cd, entropy, epr, fidelity) -> MeasureReport:

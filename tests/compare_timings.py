@@ -19,8 +19,10 @@ against one T2, and a wide one, one r and T1 against 200,000 T2.
 The check set also holds the audits at resolution 100, 199 and 400 and
 sweeps at r = 2 and on an r axis whose truncation classes mix.  Each
 operation that differs is printed with the largest absolute difference
-between its numbers, and whether any other field differs, such as a
-shape, a NaN or a flag.
+between its numbers, whether any other field differs, such as a shape,
+a NaN or a flag, and how many enhancement flags flipped: RegionGrid's
+enhanced and MeasureReport's *_enhanced, which are properties and so no
+fields.  A last line gives the flipped flags of all operations.
 
 Then the timed operations run ROUNDS times per checkout (default 16),
 interleaved: every round runs each operation on both sides, the order of
@@ -62,6 +64,7 @@ T_MIXED = np.linspace(0.0, 1.0, 25)
 R_TALL = np.linspace(0.01, 0.8, 400)
 T_TALL = np.linspace(0.001, 0.999, 2500)
 T_WIDE = np.linspace(0.001, 0.999, 200_000)
+T_SCAN = np.arange(0.001, 1.0, 0.001)
 SAMPLE_SECONDS = 0.02
 POINTS = np.column_stack([np.random.default_rng(17).uniform(0.0, 1.5, 200),
                           np.random.default_rng(18).uniform(0.01, 1.0, 200),
@@ -96,6 +99,10 @@ def timed_operations() -> dict:
     ops["threshold.entropy tol=1e-4"] = lambda m: m.regions.threshold("entropy", 1e-4)
     for q in MEASURES:
         ops[f"t_range.{q} r=0.2"] = lambda m, q=q: m.regions.t_range(q, 0.2)
+    # The top truncation classes: a search row at r = 2 takes N up to 960.
+    ops["t_range.entropy r=2"] = lambda m: m.regions.t_range("entropy", 2.0)
+    ops["symmetric_row(2, 999 T).entropy"] = (
+        lambda m: m.regions.symmetric_row(2.0, T_SCAN).entropy)
     ops["report 200 points"] = lambda m: [
         m.report.report(m.model.make_params(*p)) for p in POINTS.tolist()]
     return ops
@@ -176,17 +183,32 @@ def difference(a, b) -> tuple:
     return 0.0, a != b
 
 
+def flags(x) -> np.ndarray:
+    """Every enhancement flag in a result, flattened in order."""
+    if isinstance(x, (list, tuple)):
+        return np.concatenate([flags(v) for v in x] + [np.zeros(0, dtype=bool)])
+    if type(x).__name__ == "RegionGrid":
+        return x.enhanced.ravel()
+    if type(x).__name__ == "MeasureReport":
+        return np.array([x.entropy_enhanced, x.epr_enhanced, x.fidelity_enhanced])
+    return np.zeros(0, dtype=bool)
+
+
 def check(sides) -> int:
     """The number of checked operations whose results differ."""
-    differing = 0
+    differing = flipped = 0
     for name, op in checked_operations().items():
         parent, change = (op(m) for m in sides)
-        if canonical(parent) != canonical(change):
+        a, b = flags(parent), flags(change)
+        flips = int(np.sum(a != b)) if a.shape == b.shape else max(a.size, b.size)
+        flipped += flips
+        if canonical(parent) != canonical(change) or flips:
             differing += 1
             largest, other = difference(parent, change)
-            print(f"DIFFERS: {name}: largest |difference| {largest:.3g}"
-                  + (", and another field differs" if other else ""))
-    print(f"{differing} of {len(checked_operations())} checked operations differ")
+            print(f"DIFFERS: {name}: largest |difference| {largest:.3g}, {flips} flipped flags"
+                  + (", and another field differs" if other else ", other fields equal"))
+    print(f"{differing} of {len(checked_operations())} checked operations differ; "
+          f"{flipped} enhancement flags flipped")
     return differing
 
 

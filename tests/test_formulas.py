@@ -31,6 +31,7 @@ from lqcat.formulas import (
 from lqcat.model import (
     NORM_FLOOR,
     DegeneratePostselectionError,
+    choose_truncation,
     entropy_of,
     epr_of,
     make_params,
@@ -311,24 +312,29 @@ class TestSchmidtWeights:
                     point = closed_weights(1.7, a, b, N)
                     assert point.tobytes() == grid[i, j].tobytes(), (a, b)
 
-    def test_cells_at_are_the_broadcast_cells(self):
-        # _weights_at, closed_entropy's weights path, builds each
-        # operand's factor table over the elements that the cells at
-        # read: a slice of its span where the cells are dense, the marked
-        # elements where they are sparse.  Either way each cell's weights
-        # are the broadcast call's bit for bit.
-        r = np.array([0.3, 1.1, 2.0])[:, None, None]
-        T1 = np.array([0.0, 0.4, 2 / 3, 1.0])[:, None]
+    def test_pair_terms_are_the_whole_tables_rows(self):
+        # _pair_terms, the entropy kernel's pair tables, builds each
+        # axis' G_n and log2 G_n over the T that its pairs read: a slice
+        # of their span where the pairs are dense, the distinct T where
+        # they are sparse.  Either way each pair's row is the one from
+        # tables of the whole axes, bit for bit.  A symmetric row's pairs,
+        # (T, T) from one axis and one index, take one table, and give
+        # the same bits as the general route.
+        T1 = np.array([0.0, 0.4, 2 / 3, 1.0])
         T2 = np.array([0.2, 0.5, 0.7, 0.9, 1.0])
-        for operands in ((r, T1, T2), (r, T2, T2), (1.1, T1, T2[1:2])):
-            whole = closed_weights(*operands, 30).reshape(-1, 31)
-            shape = np.broadcast_shapes(*map(np.shape, operands))
-            for at in (np.arange(60), np.arange(7, 19), np.array([0, 13, 59]),
-                       np.array([4, 5, 6, 25, 26, 27, 46])):
-                at = np.unique(at % len(whole))
-                weights = formulas._weights_at(*operands, 30, shape, at)
-                got = weights(slice(None), np.empty((2, len(at), 31)))
+        for A, B in ((T1, T2), (T2, T2.copy()), (T1, T1)):
+            i, j = (k.ravel() for k in np.indices((len(A), len(B))))
+            (GA, LA), (GB, LB) = formulas._tables(A, 30), formulas._tables(B, 30)
+            whole = (GA[i] * GB[j]) * (LA[i] + LB[j])
+            for at in (np.arange(len(i)), np.arange(7, 19), np.array([0, 13, 19]),
+                       np.array([4, 5, 6, 15, 16, 17, 19])):
+                at = np.unique(at % len(i))
+                got = formulas._pair_terms(A, i[at], B, j[at], slice(None), 30)
                 assert got.tobytes() == whole[at].tobytes()
+        k = np.arange(len(T2))
+        symmetric = formulas._pair_terms(T2, k, T2, k, slice(None), 30)
+        general = formulas._pair_terms(T2, k, T2.copy(), k.copy(), slice(None), 30)
+        assert symmetric.tobytes() == general.tobytes()
 
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)
@@ -383,6 +389,37 @@ class TestSchmidtWeights:
             return
         _, p_trunc = route(params)
         assert abs(1.0 - p_trunc / p_exact) <= 1e-14
+
+
+class TestChainRuleEntropy:
+    # r = 0: log2 tanh^2 r is -inf, against a zero mass beyond n = 1.
+    @example(0.0, 0.5, 0.5)
+    @example(0.7, 0.0, 0.4)  # T = 0: only n = 1 can survive
+    @example(1.2, 2 / 3, 0.3)  # g_2(2/3) = 0: a zero weight inside the sum
+    @example(1.9, 0.75, 0.75)  # g_3(3/4) = 0
+    @example(1.0, 0.0, 0.3)  # one weight left: exactly 0 bits
+    @example(1.0, 0.0, 0.5)  # no weight left: p_cd = 0, NaN
+    @example(0.0, 1e-160, 1e-160)  # p_cd = 1e-320 is not above NORM_FLOOR: NaN
+    @example(2.4, 1.0, 1.0)  # N = 2048
+    @given(st.floats(0.0, 2.4), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    @seed(26)
+    def test_equals_the_per_weight_sum(self, r, T1, T2):
+        # The independent route: square and normalise the N + 1 weights
+        # of closed_weights, at the N of choose_truncation, and sum
+        # -p log2 p over them, 0 log2 0 := 0.
+        N = choose_truncation(make_params(r, T1, T2))
+        w = closed_weights(r, T1, T2, N)
+        p_cd = float(np.sum(w * w))
+        got = closed_entropy(r, T1, T2)
+        if not p_cd > NORM_FLOOR:
+            assert math.isnan(got)
+            return
+        p = w * w / p_cd
+        want = float(-np.sum(p * np.log2(np.where(p > 0.0, p, 1.0))))
+        assert abs(got - want) <= 1e-14
+        if want == 0.0:
+            assert got == 0.0
 
 
 class TestMomentPolynomials:

@@ -202,6 +202,24 @@ class TestSymmetricRow:
         else:
             assert abs(diagonal - expected) <= 1e-14
 
+    def test_entropy_is_relatively_accurate_where_it_is_tiny(self):
+        # S = 3.7e-16 bits at (1e-4, 0.5, 0.5), where p_0 lies within an
+        # ulp of 1: -p_0 log2 p_0 read as a logarithm of p_0 lost its
+        # 1 - p_0, and the sum over the weights read 2.5e-2 relative off
+        # there and 3.9e-5 at (1e-6, 0.7, 0.7).  The chain rule takes the
+        # dominant mass's logarithm as log1p of the rest.
+        r = np.array([1e-6, 1e-4, 1e-2, 0.3])
+        T = np.array([1e-4, 0.2, 0.5, 0.7, 1.0])
+        grid = sweep("entropy", r, T, T).raw
+        for k, x in enumerate(r.tolist()):
+            for i, a in enumerate(T.tolist()):
+                for j, b in enumerate(T.tolist()):
+                    want = _reference_entropy(x, a, b)
+                    assert abs(grid[k, i, j] - want) <= 1e-13 * want, (x, a, b)
+                    if i == j:
+                        point = report(make_params(x, a, b)).entropy
+                        assert abs(point - want) <= 1e-13 * want, (x, a)
+
     def test_input_validation(self):
         with pytest.raises(ParameterError):
             symmetric_row(-0.1, np.array([0.5]))
@@ -256,9 +274,10 @@ class TestSweep:
         # r = 2 puts the T1 rows in four truncation classes, and the last
         # row of the wide grid in five.  Every block size splits the wide
         # rows: 1 and 7 doubles give one cell per block, 500 ten cells and
-        # 40,000 800.  closed_entropy's chunks split each class on their
-        # own: 1 weight gives one cell per chunk, and 155 five cells at
-        # N = 30, two at N = 60 and one above, mid-row.  On the r axis of
+        # 40,000 800.  The entropy kernel's chunks, set by
+        # formulas.SWEEP_BLOCK, split each class on their own: 1 double
+        # gives one pair per chunk, and 4,960 five pairs at N = 30, two at
+        # N = 60 and one above, mid-row.  On the r axis of
         # `mixed` the T = 1 cells take four classes, and a block of the
         # default size holds several r; each r slab is the row's.
         T1 = np.linspace(0.05, 0.95, 7)
@@ -277,10 +296,10 @@ class TestSweep:
                 np.testing.assert_array_equal(
                     diagonals[i], RowMeasures(r, T, T).values(quantity))
             for block, chunk in itertools.product(
-                    (1, 7, 500, 40_000), (1, 155, formulas.ENTROPY_CHUNK)):
+                    (1, 7, 500, 40_000), (1, 4_960, formulas.SWEEP_BLOCK)):
                 with monkeypatch.context() as m:
                     m.setattr(regions, "SWEEP_BLOCK", block)
-                    m.setattr(formulas, "ENTROPY_CHUNK", chunk)
+                    m.setattr(formulas, "SWEEP_BLOCK", chunk)
                     assert np.array_equal(sweep(*args).raw, whole), quantity
                     assert np.array_equal(
                         sweep(quantity, [2.0], T1, wide).raw, grid), quantity
@@ -315,14 +334,14 @@ class TestSweep:
         blocks = []
         monkeypatch.setattr(regions, "RowMeasures",
                             lambda **kw: blocks.append(kw) or RowMeasures(**kw))
-        chunks = (1, 155, formulas.ENTROPY_CHUNK) if quantity == "entropy" else (None,)
+        chunks = (1, 4_960, formulas.SWEEP_BLOCK) if quantity == "entropy" else (None,)
         for block, chunk in itertools.product(
                 (1, 7, 500, 40_000, regions.SWEEP_BLOCK), chunks):
             blocks.clear()
             with monkeypatch.context() as m:
                 m.setattr(regions, "SWEEP_BLOCK", block)
                 if chunk is not None:
-                    m.setattr(formulas, "ENTROPY_CHUNK", chunk)
+                    m.setattr(formulas, "SWEEP_BLOCK", chunk)
                 grid = sweep(quantity, r, T, T.copy())
             assert grid.raw.tobytes() == whole.tobytes(), (block, chunk)
             assert sum(map(cells, blocks)) == len(r) * len(T) * (len(T) + 1) // 2
@@ -574,6 +593,23 @@ class TestSweep:
         r_axis, T1, T2 = (np.asarray(axis)[::97] for axis in axes)
         part = RowMeasures(r_axis[:, None, None], T1[:, None], T2).values(quantity)
         assert np.array_equal(grid.raw[::97, ::97, ::97], part)
+
+    def test_entropy_tables_are_chunked_at_the_cap(self):
+        # 145 T near 1 hold 10,585 pairs at r = 2.4, in four truncation
+        # classes up to N = 2048.  Unchunked, one block's pair terms at
+        # N = 2048 would take about 170 MB; the kernel's chunks hold
+        # SWEEP_BLOCK / 32 doubles per table (measured peak: 4.7 MiB).
+        T = np.linspace(0.9, 1.0, 145)
+        tracemalloc.start()
+        try:
+            grid = sweep("entropy", [2.4], T, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.raw.nbytes + grid.values.nbytes + (8 << 20)
+        assert choose_truncation(make_params(2.4, 1.0, 1.0)) == MAX_TRUNCATION
+        part = RowMeasures(2.4, T[::29, None], T).entropy
+        assert part.tobytes() == grid.raw[0, ::29].tobytes()
 
     @pytest.mark.parametrize("quantity", ["epr", "fidelity", "pcd"])
     def test_closed_measure_blocks_are_sized_by_working_set(self, quantity,
