@@ -5,16 +5,16 @@ verbatim as explicit integer-coefficient monomial lists in (t1, t2), so a
 transcription error stays localized and diffable; they are cross-checks
 only.  closed_weights, closed_measures and closed_entropy are derived
 from the heralded state itself, w~_n = Q(n) q^n / (t1 t2 cosh r): the
-first builds the weights, the second sums p_cd, the EPR variance and the
-teleportation fidelity over all n with no truncation, and the third sums
-the entropy by the chain rule from the second's head and per-T tables of
-the weights' logarithms.  The independent checks live in lqcat.oracle.
+first builds one point's weights, the second sums p_cd, the EPR variance
+and the teleportation fidelity over all n with no truncation, and the
+third sums the entropy by the chain rule from the second's head and
+per-T tables of the weights' logarithms.  The independent checks live in
+lqcat.oracle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -191,8 +191,9 @@ CLOSED_CELL_DOUBLES = 50
 _FEW_CELLS = 8
 
 
-# Room for the 8 truncation classes from n = 0 and from n = 2, and a few
-# other N: each entry holds 3 x (N + 1) doubles, about 280 kB for all.
+# Room for the 8 truncation classes from n = 0 (closed_weights) and from
+# n = 2 (the entropy's tables), and a few other N: each entry holds
+# 3 x (N + 1) doubles, about 280 kB for all.
 @lru_cache(maxsize=32)
 def _index_arrays(N: int, first: int = 0) -> tuple:
     """n, n + 1 and max(n - 1, 0) for n = first..N as read-only floats
@@ -217,37 +218,19 @@ def _each_r(f, r):
     return np.array([f(x) for x in r.ravel().tolist()]).reshape(r.shape)
 
 
-def _factor(x, N: int, of_r: bool):
-    """tanh(x)^n / cosh(x) when of_r, else g_n(x), for n = 0..N: of a
-    float, or of each element of a float array along a new last axis."""
-    n, n1, power = _index_arrays(N)
-    if not isinstance(x, float):
-        x = x[..., None]
-    if of_r:
-        return _each_r(math.tanh, x) ** n / _each_r(math.cosh, x)
-    t = np.sqrt(x)
-    f = (n1 * x - n) * t**power
-    f[..., :1] = t
-    return f
-
-
-def closed_weights(r, T1, T2, N: int) -> np.ndarray:
-    """Unnormalized weights w~_0 .. w~_N, broadcast over r, T1 and T2.
+def closed_weights(params: CatalysisParams, N: int) -> np.ndarray:
+    """Unnormalized weights w~_0 .. w~_N at one point.
 
     w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), with the beam-splitter
-    factor g_n(T) = ((n+1) T - n) t^(n-1).  Its n = 0 value simplifies
-    algebraically to t, which also covers t = 0.  The result has shape
-    broadcast(r, T1, T2) + (N + 1,).
-
-    The factors multiply as f_r (g1 g2), here and in _weights_at, so
-    every weight is swap-symmetric bit for bit.  A float is a point
-    (math.sqrt and libm's tanh and cosh); any other operand is taken as
-    a float array.  A point's weights are its broadcast cell's bit for bit.
+    factor g_n(T) = ((n+1) T - n) t^(n-1), whose n = 0 value is t (t = 0
+    included).  g1 g2 is formed first, so the weights are swap-symmetric
+    bit for bit.
     """
-    if not (isinstance(r, float) and isinstance(T1, float) and isinstance(T2, float)):
-        r, T1, T2 = _operands(r, T1, T2)
-    g1 = _factor(T1, N, False)
-    return _factor(r, N, True) * (g1 * (g1 if T2 is T1 else _factor(T2, N, False)))
+    n, n1, power = _index_arrays(N)
+    g1, g2 = ((n1 * T - n) * t**power
+              for T, t in ((params.T1, params.t1), (params.T2, params.t2)))
+    g1[0], g2[0] = params.t1, params.t2
+    return math.tanh(params.r) ** n / math.cosh(params.r) * (g1 * g2)
 
 
 def closed_spectrum(params: CatalysisParams):
@@ -256,8 +239,7 @@ def closed_spectrum(params: CatalysisParams):
     The weights run to the N of choose_truncation, the same N as
     closed_entropy's at this point, and p_cd is their squared norm.
     """
-    raw = closed_weights(params.r, params.T1, params.T2, choose_truncation(params))
-    return normalize_weights(raw)
+    return normalize_weights(closed_weights(params, choose_truncation(params)))
 
 
 def _tail_basis(z) -> list:
@@ -327,9 +309,12 @@ def closed_measures(r, T1, T2):
 
     r, T1 and T2 broadcast (r's tanh and cosh from libm), and floats give
     floats; any other operand is taken as a float array.  Where
-    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.  This is
-    closed_head, closed_epr and closed_fidelity in a row.
+    p_cd <= NORM_FLOOR the EPR variance and fidelity are NaN.  Raises
+    ParameterError as _check_ranges does.  This is closed_head,
+    closed_epr and closed_fidelity in a row.
     """
+    r, T1, T2 = _operands(r, T1, T2)
+    _check_ranges(r, T1, T2)
     head = closed_head(r, T1, T2)
     return head[0], closed_epr(head), closed_fidelity(head)
 
@@ -553,14 +538,20 @@ def closed_entropy(r, T1, T2):
 
     Floats give a numpy float64; other operands are taken as float
     arrays.  The entropy is NaN where the weights' squared norm is not
-    above NORM_FLOOR.  Raises ParameterError where make_params does at
-    the smallest or largest r, T1 and T2, or choose_truncation at a
-    cell.
+    above NORM_FLOOR.  Raises ParameterError as _check_ranges does, or
+    where choose_truncation does at a cell.
     """
     r, T1, T2 = _operands(r, T1, T2)
+    _check_ranges(r, T1, T2)
+    return _broadcast_entropy(r, T1, T2)
+
+
+def _check_ranges(r, T1, T2) -> None:
+    """Raises ParameterError where make_params does at the smallest or
+    the largest r, T1 and T2 (floats or float arrays), which bound every
+    cell's q = t1 t2 tanh r."""
     for end in (np.min, np.max):
         make_params(*(float(end(a, initial=0.0)) for a in (r, T1, T2)))
-    return _broadcast_entropy(r, T1, T2)
 
 
 def _broadcast_entropy(r, T1, T2):
@@ -612,7 +603,7 @@ def closed_entropy_bound(head: tuple):
     """
     p0, p1, rho, excess = closed_photons(head)
     v = np.stack((p0, p1, rho, rho + excess, excess))
-    # 0 log2 0 := 0, as in entropy_bits.
+    # 0 log2 0 := 0, as in model.entropy_of.
     v *= np.log2(np.maximum(v, _SMALLEST_SUBNORMAL))
     return v[3] - v[4] - (v[0] + v[1] + 2.0 * v[2])
 

@@ -3,9 +3,8 @@
 The catalyzed two-mode state is diagonal in the twin-Fock basis |n,n>, so
 every quantity of interest reduces to sums over a single list of real
 (signed) Schmidt weights.  This module holds the parameter point, the
-spectrum container, the truncation policy, the entropy kernel over
-arrays of weights, the entropy and EPR variance of one spectrum, and the
-sign rule of enhancement deltas.
+spectrum container, the truncation policy, the entropy and EPR variance
+of one spectrum, and the sign rule of enhancement deltas.
 """
 
 from __future__ import annotations
@@ -173,17 +172,12 @@ def choose_truncation(params: CatalysisParams) -> int:
     return ENTROPY_CLASSES[k][0]
 
 
-def entropy_bits(p: np.ndarray) -> np.ndarray:
-    """Von Neumann entanglement entropy in bits over the last axis of
-    Schmidt probabilities p_n = w_n^2, with 0 log 0 := 0."""
+def entropy_of(spectrum: SchmidtSpectrum) -> float:
+    """Entanglement entropy in bits of one spectrum, with 0 log 0 := 0."""
+    p = spectrum.weights**2
     # Every p > 0 is at least the smallest subnormal, so only p = 0 is
     # raised, and it still contributes 0 * log2(tiny) = 0.
-    return -(np.log2(np.maximum(p, _SMALLEST_SUBNORMAL)) * p).sum(axis=-1) + 0.0
-
-
-def entropy_of(spectrum: SchmidtSpectrum) -> float:
-    """Entanglement entropy in bits of one spectrum."""
-    return float(entropy_bits(spectrum.weights**2))
+    return float(-(np.log2(np.maximum(p, _SMALLEST_SUBNORMAL)) * p).sum() + 0.0)
 
 
 def epr_of(spectrum: SchmidtSpectrum) -> float:

@@ -12,7 +12,8 @@ interpreter on the same inputs.
 First every operation below runs once per checkout, and its results are
 compared byte for byte: every RegionGrid field, raw and values among
 them, the ThresholdResult fields (the entropy's at tol 1e-4 too), the
-t_range lists, the implication entries and the report fields.  Both sets
+t_range lists, the implication entries, the report fields and the
+closed spectra with their p_cd and entropy.  Both sets
 hold general sweeps on equal T1 and T2 axes and two on unequal axes,
 and two p_cd sweeps on unequal axes: a tall one, 400 r by 2,500 T1
 against one T2, and a wide one, one r and T1 against 200,000 T2.
@@ -73,7 +74,8 @@ POINTS = np.column_stack([np.random.default_rng(17).uniform(0.0, 1.5, 200),
 
 def timed_operations() -> dict:
     """Name -> function of a loaded package, for the operations that are
-    both checked and timed: the maps, the searches and report points."""
+    both checked and timed: the maps, the searches, report points and
+    the spectrum route's points."""
     ops = {
         "implication_table(200)": lambda m: m.regions.implication_table(200),
         "common_region(200)": lambda m: m.regions.common_region(200),
@@ -105,6 +107,10 @@ def timed_operations() -> dict:
         lambda m: m.regions.symmetric_row(2.0, T_SCAN).entropy)
     ops["report 200 points"] = lambda m: [
         m.report.report(m.model.make_params(*p)) for p in POINTS.tolist()]
+    ops["closed_spectrum + entropy_of, 200 points"] = lambda m: [
+        (spectrum, p_cd, m.model.entropy_of(spectrum))
+        for spectrum, p_cd in (m.formulas.closed_spectrum(m.model.make_params(*p))
+                               for p in POINTS.tolist())]
     return ops
 
 
@@ -139,7 +145,7 @@ def load(root: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("model", "regions", "report"):
+    for sub in ("formulas", "model", "regions", "report"):
         setattr(module, sub, importlib.import_module(f"{name}.{sub}"))
     return module
 
@@ -234,12 +240,12 @@ def time_rounds(sides, rounds: int) -> None:
                 faults[name][side].append(
                     (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
                     / repeats[name])
-    print(f"{'operation':34} {'repeats':>7} {'parent':>10} {'change':>10} {'ratio':>7}  "
+    print(f"{'operation':40} {'repeats':>7} {'parent':>10} {'change':>10} {'ratio':>7}  "
           f"wins   faults/call parent change")
     for name, (parent, change) in times.items():
         ratios = [c / p for p, c in zip(parent, change)]
         wins = sum(c < p for p, c in zip(parent, change))
-        print(f"{name:34} {repeats[name]:7} {statistics.median(parent) * 1e3:8.2f}ms "
+        print(f"{name:40} {repeats[name]:7} {statistics.median(parent) * 1e3:8.2f}ms "
               f"{statistics.median(change) * 1e3:8.2f}ms "
               f"{statistics.median(ratios):7.3f}  {f'{wins}/{rounds}':6} "
               f"{statistics.median(faults[name][0]):18.1f} "

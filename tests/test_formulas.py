@@ -31,6 +31,7 @@ from lqcat.formulas import (
 from lqcat.model import (
     NORM_FLOOR,
     DegeneratePostselectionError,
+    ParameterError,
     choose_truncation,
     entropy_of,
     epr_of,
@@ -71,7 +72,7 @@ class TestSuccessProbability:
     @settings(max_examples=100, deadline=None)
     def test_equals_squared_norm_of_weights(self, params):
         N = 250
-        raw = closed_weights(params.r, params.T1, params.T2, N)
+        raw = closed_weights(params, N)
         assert success_probability(params) == pytest.approx(
             float(np.sum(raw**2)), rel=1e-12, abs=1e-15
         )
@@ -245,8 +246,18 @@ class TestClosedMeasures:
         for args in ((r.tolist(), 0.5, 0.5), (r[:2, None].tolist(), T.tolist(), 0.5)):
             arrays = [np.array(a) if isinstance(a, list) else a for a in args]
             assert closed_entropy(*args).tobytes() == closed_entropy(*arrays).tobytes()
-            assert (closed_weights(*args, 30).tobytes()
-                    == closed_weights(*arrays, 30).tobytes())
+
+    @pytest.mark.parametrize("args", [(0.5, -0.5, 0.5), (-0.5, 0.5, 0.5), (0.5, 1.5, 0.5),
+                                      (400, 0.5, 0.5), (20, 1, 1)])
+    def test_out_of_range_raises(self, args):
+        # Outside the domain the sums give wrong numbers (a negative p_cd,
+        # a complex NaN) or bare arithmetic errors; arrays take the
+        # corners of each operand.
+        with pytest.raises(ParameterError):
+            closed_measures(*args)
+        arrays = (np.array([args[0], 0.5]), np.array(args[1]), [args[2]])
+        with pytest.raises(ParameterError):
+            closed_measures(*arrays)
 
     def test_identity_line(self):
         for r in (0.0, 0.3, 1.0, 2.0):
@@ -257,23 +268,12 @@ class TestClosedMeasures:
 
 
 class TestSchmidtWeights:
-    def test_vector_matches_scalar(self):
-        # Broadcasting over (T1, T2) gives every point its own weights.
-        T1 = np.array([0.0, 0.3, 0.5, 1.0])[:, None]
-        T2 = np.array([0.2, 0.7, 1.0])
-        batch = closed_weights(0.4, T1, T2, 12)
-        assert batch.shape == (4, 3, 13)
-        for i, a in enumerate(T1[:, 0]):
-            for j, b in enumerate(T2):
-                scalar = closed_weights(0.4, a, b, 12)
-                assert np.array_equal(batch[i, j], scalar)
-
     @pytest.mark.parametrize("N", [7, 12, 500])
     def test_terms_match_the_formula(self, N):
         # w~_n = tanh(r)^n / cosh(r) g_n(T1) g_n(T2), g_0(T) = t and
         # g_n(T) = ((n+1) T - n) t^(n-1), in Python floats term by term.
         # N = 7, 12 and 500 are no truncation class, so they take the
-        # per-call constants; scalar and array T take their own paths.
+        # per-call constants.
         def g(n, T):
             t = math.sqrt(T)
             return t if n == 0 else ((n + 1) * T - n) * t ** (n - 1)
@@ -283,34 +283,22 @@ class TestSchmidtWeights:
             u, ch = math.tanh(r), math.cosh(r)
             expected = np.array([u**n / ch * g(n, T1) * g(n, T2)
                                  for n in range(N + 1)])
-            for got in (closed_weights(r, T1, T2, N),
-                        closed_weights(r, np.array([T1]), np.array(T2), N)[0]):
-                assert got.shape == (N + 1,)
-                # numpy's pow may differ from libm's in the last bit;
-                # exact zeros (T = 1/2, 2/3 or 0) stay exact.
-                np.testing.assert_allclose(got, expected, rtol=2e-15, atol=1e-300)
-                assert np.array_equal(got == 0.0, expected == 0.0)
+            got = closed_weights(make_params(r, T1, T2), N)
+            assert got.shape == (N + 1,)
+            # numpy's pow may differ from libm's in the last bit;
+            # exact zeros (T = 1/2, 2/3 or 0) stay exact.
+            np.testing.assert_allclose(got, expected, rtol=2e-15, atol=1e-300)
+            assert np.array_equal(got == 0.0, expected == 0.0)
 
     def test_returned_weights_are_the_callers(self):
         # The per-N constants are shared and read-only; a returned array
         # is fresh, so writing into it changes no later result.
         for N in (30, 60, 2048, 7):
-            for T1, T2 in ((0.3, 0.8), (0.4, 0.4), (np.array([0.2, 0.9]), 0.5)):
-                first = closed_weights(1.2, T1, T2, N)
+            for params in (make_params(1.2, 0.3, 0.8), make_params(1.2, 0.4, 0.4)):
+                first = closed_weights(params, N)
                 expected = first.copy()
                 first[...] = 99.0
-                assert np.array_equal(closed_weights(1.2, T1, T2, N), expected)
-
-    def test_point_factor_is_the_array_factor(self):
-        # A float T builds its factor from math.sqrt, an array T from
-        # np.sqrt; both give the broadcast call's cell bit for bit.
-        T = np.array([-0.0, 0.0, 1e-300, 0.25, 0.5, 2 / 3, 0.999, 1.0])
-        for N in (30, 480):
-            grid = closed_weights(1.7, T[:, None], T, N)
-            for i, a in enumerate(T.tolist()):
-                for j, b in enumerate(T.tolist()):
-                    point = closed_weights(1.7, a, b, N)
-                    assert point.tobytes() == grid[i, j].tobytes(), (a, b)
+                assert np.array_equal(closed_weights(params, N), expected)
 
     def test_pair_terms_are_the_whole_tables_rows(self):
         # _pair_terms, the entropy kernel's pair tables, builds each
@@ -339,7 +327,7 @@ class TestSchmidtWeights:
     def test_normalized_when_given_pcd(self):
         params = make_params(0.4, 0.3, 0.7)
         spec, p = closed_spectrum(params)
-        raw = closed_weights(params.r, params.T1, params.T2, len(spec.weights) - 1)
+        raw = closed_weights(params, len(spec.weights) - 1)
         assert np.allclose(spec.weights, raw / math.sqrt(p), rtol=1e-14, atol=0.0)
 
     @given(params_strategy)
@@ -358,7 +346,7 @@ class TestSchmidtWeights:
         c1 = (R1 * R2 - R1 * params.T2 - R2 * params.T1) * u * ch / denom
         c2 = R1 * R2 * u * math.sinh(params.lam) / denom
         q = math.tanh(params.lam)
-        weights = closed_weights(params.r, params.T1, params.T2, 7) / math.sqrt(p)
+        weights = closed_weights(params, 7) / math.sqrt(p)
         for n in range(8):
             expect = c0 * q**n
             if n >= 1:
@@ -408,8 +396,8 @@ class TestChainRuleEntropy:
         # The independent route: square and normalise the N + 1 weights
         # of closed_weights, at the N of choose_truncation, and sum
         # -p log2 p over them, 0 log2 0 := 0.
-        N = choose_truncation(make_params(r, T1, T2))
-        w = closed_weights(r, T1, T2, N)
+        params = make_params(r, T1, T2)
+        w = closed_weights(params, choose_truncation(params))
         p_cd = float(np.sum(w * w))
         got = closed_entropy(r, T1, T2)
         if not p_cd > NORM_FLOOR:

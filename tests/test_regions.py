@@ -712,9 +712,9 @@ class TestEntropyBound:
             assert bound == math.inf
             return
         assert delta <= bound
-        # The slack's error budget is 3.4e-12; without the slack the
-        # bound falls below the computed delta by much less (4.5e-14 at
-        # most on dense rows, near T = 1 at r = 2.385).
+        # The slack's error budget is 2.8e-12; without the slack the
+        # bound falls below the computed delta by much less (2.5e-14 at
+        # most on dense rows, at T = 1 and r = 2.335).
         assert delta <= bound - regions.ENTROPY_BOUND_MARGIN + 1e-12
 
     @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
