@@ -7,12 +7,15 @@ implication audit over the three measures, and their common region.
 p_cd, the EPR variance and the fidelity come from the truncation-free
 closed forms of formulas.closed_measures; the entropy is the chain-rule
 sum of formulas._entropy over the same head and per-T log tables, which
-the threshold search skips wherever formulas.closed_entropy_bound
-settles a cell.  The standalone published moment polynomials are not
+both searches skip wherever formulas.closed_entropy_bound settles a
+cell.  threshold steers its bisection by a local-peak test on single
+points and certifies its final bracket by the full scan, so its r_star
+is the exhaustive search's wherever the scan's answer is monotone in r
+along the path.  The standalone published moment polynomials are not
 used: they disagree with the exact spectrum, and the spectrum is what
-the brute-force circuit simulation certifies.  The circuit oracle and
-the CF quadrature serve only sweep(engine="oracle"), which imports
-lqcat.oracle when it runs.
+the brute-force circuit simulation certifies.
+The circuit oracle and the CF quadrature serve only
+sweep(engine="oracle"), which imports lqcat.oracle when it runs.
 
 "Enhanced" always means the delta against the un-catalyzed baseline at
 the same squeezing exceeds a small guard band, so round-off at the
@@ -43,6 +46,7 @@ from .formulas import (
     tmsvs_fidelity,
 )
 from .model import (
+    CLASS_LIMITS,
     ENHANCEMENT_GUARD,
     ParameterError,
     choose_truncation,
@@ -56,6 +60,11 @@ MEASURES = ("entropy", "epr", "fidelity")
 GRID_CAP = 10**7
 R_BRACKET = (0.01, 2.0)
 T_SCAN_STEP = 1e-3
+# The threshold scan's T cells.
+T_SCAN = np.arange(T_SCAN_STEP, 1.0, T_SCAN_STEP)
+T_SCAN.flags.writeable = False
+# Spacings of _peak_test's parabola steps in T.
+PEAK_STEPS = (2e-3, 2e-5)
 POLISH_POINTS = 129
 DEFAULT_TOL = 1e-3
 # Slack added to the closed-form entropy bound before it settles a
@@ -370,20 +379,69 @@ def _search_deltas(quantity: str, r: float, T: np.ndarray, rank: bool) -> np.nda
     return deltas
 
 
-def _enhancement_exists(quantity: str, r: float) -> bool:
-    """True if some symmetric T in (0, 1) gives a positive delta at this r.
+def _enhancement_exists(quantity: str, r: float) -> tuple:
+    """(found, T): found is True if some symmetric T in (0, 1) gives a
+    positive delta at this r, and T is the scan's best point.
 
     A step-1e-3 scan, then a refine of the two cells around its best
-    point in case the maximum slips between scan points.  The answer is
-    that of the exact deltas at every scan and refine cell.
+    point in case the maximum slips between scan points.  found is that
+    of the exact deltas at every scan and refine cell.
     """
-    T = np.arange(T_SCAN_STEP, 1.0, T_SCAN_STEP)
-    deltas = _search_deltas(quantity, r, T, rank=True)
+    deltas = _search_deltas(quantity, r, T_SCAN, rank=True)
     best = int(np.nanargmax(deltas))
-    if deltas[best] > ENHANCEMENT_GUARD:
-        return True
-    fine = np.linspace(T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)], POLISH_POINTS)
-    return bool(np.any(_search_deltas(quantity, r, fine, rank=False) > ENHANCEMENT_GUARD))
+    found = deltas[best] > ENHANCEMENT_GUARD
+    if not found:
+        fine = np.linspace(T_SCAN[max(best - 1, 0)], T_SCAN[min(best + 1, len(T_SCAN) - 1)],
+                           POLISH_POINTS)
+        found = np.any(_search_deltas(quantity, r, fine, rank=False) > ENHANCEMENT_GUARD)
+    return bool(found), float(T_SCAN[best])
+
+
+def _point_delta(quantity: str, r: float, T: float) -> float:
+    """quantity's delta at the one point (r, T, T), by the float path of
+    report: the entropy equals its row cell bit for bit, the EPR and the
+    fidelity to rounding."""
+    head = closed_head(r, T, T)
+    if quantity == "entropy":
+        value = _entropy(head, r, T, T, N=choose_truncation(make_params(r, T, T)))
+    else:
+        value = (closed_epr if quantity == "epr" else closed_fidelity)(head)
+    return delta(quantity, value, _baseline(quantity, r))
+
+
+def _peak_test(quantity: str, r: float, T: float) -> float | None:
+    """A T whose point delta at r exceeds the guard, looked for near T,
+    or None: T itself, then one three-point parabola step in T per
+    PEAK_STEPS spacing, each about the vertex of the one before.  A
+    cheap local test: None where a stencil leaves [0, 1] or is not
+    concave."""
+    value = _point_delta(quantity, r, T)
+    for h in PEAK_STEPS:
+        if value > ENHANCEMENT_GUARD:
+            return T
+        if not (h <= T <= 1.0 - h):
+            return None
+        left, right = _point_delta(quantity, r, T - h), _point_delta(quantity, r, T + h)
+        if left > ENHANCEMENT_GUARD or right > ENHANCEMENT_GUARD:
+            return T - h if left > ENHANCEMENT_GUARD else T + h
+        curvature = left - 2.0 * value + right
+        if not curvature < 0.0:
+            return None
+        T = min(max(T + 0.5 * h * (left - right) / curvature, 0.0), 1.0)
+        value = _point_delta(quantity, r, T)
+    return T if value > ENHANCEMENT_GUARD else None
+
+
+def _bisect(lo: float, hi: float, tol: float, enhances) -> tuple:
+    """The final bracket (lo, hi) of bisecting on r to tol, each midpoint
+    moving lo when enhances(mid), else hi."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if enhances(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
@@ -391,27 +449,75 @@ def threshold(quantity: str, tol: float = DEFAULT_TOL) -> ThresholdResult:
 
     Brackets on r in [0.01, 2.0]; raises RuntimeError if no enhancement
     is found even at the lower end, which would signal an implementation
-    regression.  Each step asks _enhancement_exists, so r_star is the
-    exhaustive search's bit for bit.  tol must be finite and at least
-    1 / GRID_CAP.
+    regression.  tol must be finite and at least 1 / GRID_CAP.
+
+    The exact predicate, _enhancement_exists, answers both ends and every
+    midpoint up to the first True one; from there _peak_test, seeded by
+    the T of the latest True answer, steers the bisection.  The final
+    bracket is always certified: its lower end by the scan cells next to
+    its witness T, or else the exact predicate, its upper end by the
+    exact predicate.  If either disagrees, the bisection reruns with the
+    exact predicate at every midpoint.  So r_star is the exhaustive
+    search's bit for bit wherever the exact predicate is monotone in r
+    along the path.
     """
     _check_search("threshold", quantity, tol)
     lo, hi = R_BRACKET
-    if not _enhancement_exists(quantity, lo):
+    known = {}  # r -> _enhancement_exists(quantity, r)
+
+    def exhaustive(r: float) -> bool:
+        if r not in known:
+            known[r] = _enhancement_exists(quantity, r)
+        return known[r][0]
+
+    if not exhaustive(lo):
         raise RuntimeError(
             f"no {quantity} enhancement anywhere on r in {R_BRACKET}; "
             "this signals an implementation regression"
         )
-    if _enhancement_exists(quantity, hi):
+    if exhaustive(hi):
         return ThresholdResult(quantity=quantity, r_star=hi, tolerance=tol)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _enhancement_exists(quantity, mid):
-            lo = mid
+    witness = None  # the T of the latest True answer
+
+    def steered(r: float) -> bool:
+        nonlocal witness
+        if witness is None:
+            found, T = exhaustive(r), known[r][1]
         else:
-            hi = mid
-    return ThresholdResult(quantity=quantity, r_star=0.5 * (lo + hi),
-                           tolerance=tol)
+            T = _peak_test(quantity, r, witness)
+            found = T is not None
+        if found:
+            witness = T
+        return found
+
+    def certified(r: float) -> bool:
+        if r in known:
+            return known[r][0]
+        k = int(np.argmin(np.abs(T_SCAN - witness)))
+        cells = T_SCAN[max(k - 1, 0):k + 2]
+        return bool(np.any(_search_deltas(quantity, r, cells, rank=False)
+                           > ENHANCEMENT_GUARD)) or exhaustive(r)
+
+    a, b = _bisect(lo, hi, tol, steered)
+    if not certified(a) or exhaustive(b):
+        a, b = _bisect(lo, hi, tol, exhaustive)
+    return ThresholdResult(quantity=quantity, r_star=0.5 * (a + b), tolerance=tol)
+
+
+def _scan_deltas(quantity: str, r: float, T: np.ndarray) -> np.ndarray:
+    """quantity's deltas at (r, T, T) for t_range's scan, the entropy's
+    only where _entropy_delta_bound exceeds the guard and NaN, so not
+    inside, elsewhere.  The first cell whose truncation class lies above
+    the cap is computed too, so it raises as in a full row."""
+    row = symmetric_row(r, T)  # validates r
+    if quantity != "entropy":
+        return row.deltas(quantity)
+    exact = _entropy_delta_bound(r, T) > ENHANCEMENT_GUARD
+    t = np.sqrt(T)
+    exact[np.flatnonzero(t * t * math.tanh(r) > CLASS_LIMITS[-1])[:1]] = True
+    deltas = np.full(len(T), np.nan)
+    deltas[exact] = symmetric_row(r, T[exact]).deltas(quantity)
+    return deltas
 
 
 def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
@@ -422,16 +528,17 @@ def t_range(quantity: str, r: float, tol: float = DEFAULT_TOL):
     T = 0 and 1, brackets each edge; POLISH_POINTS evenly spaced T split
     every bracket, and the endpoint is the midpoint of the refine cell
     the edge falls in, so within step / 256 of an edge that crosses its
-    bracket once.  tol must be finite and at least 1 / GRID_CAP.  Raises
-    ParameterError for an invalid r, or where a scan cell's entropy
-    needs a truncation above the cap.
+    bracket once.  The entropy's scan computes only the cells that its
+    bound leaves open (_scan_deltas).  tol must be finite and at least
+    1 / GRID_CAP.  Raises ParameterError for an invalid r, or where a
+    scan cell's entropy needs a truncation above the cap.
     """
     _check_search("t_range", quantity, tol)
     step = min(tol, T_SCAN_STEP)
     T = np.concatenate(([0.0], np.arange(step, 1.0, step), [1.0]))
     # Rows of at most SWEEP_BLOCK doubles of working set; no delta reads its row-mates.
     parts = np.array_split(T[1:-1], 1 + (len(T) - 3) // _block_cells())
-    deltas = np.concatenate([symmetric_row(r, part).deltas(quantity) for part in parts])
+    deltas = np.concatenate([_scan_deltas(quantity, r, part) for part in parts])
     inside = np.concatenate(([False], deltas > ENHANCEMENT_GUARD, [False]))
     # Bracket k runs from T[edges[k]] to T[edges[k] + 1]; rising and
     # falling edges alternate.

@@ -11,7 +11,7 @@ interpreter on the same inputs.
 
 First every operation below runs once per checkout, and its results are
 compared byte for byte: every RegionGrid field, raw and values among
-them, the ThresholdResult fields (the entropy's at tol 1e-4 too), the
+them, the ThresholdResult fields (at tol 1e-4 too), the
 t_range lists, the implication entries, the report fields and the
 closed spectra with their p_cd and entropy.  Both sets
 hold general sweeps on equal T1 and T2 axes and two on unequal axes,
@@ -98,9 +98,11 @@ def timed_operations() -> dict:
         lambda m: m.regions.sweep("entropy", [2.0], T_SQUARE, T_SQUARE))
     for q in MEASURES:
         ops[f"threshold.{q}"] = lambda m, q=q: m.regions.threshold(q)
-    ops["threshold.entropy tol=1e-4"] = lambda m: m.regions.threshold("entropy", 1e-4)
+    for q in MEASURES:
+        ops[f"threshold.{q} tol=1e-4"] = lambda m, q=q: m.regions.threshold(q, 1e-4)
     for q in MEASURES:
         ops[f"t_range.{q} r=0.2"] = lambda m, q=q: m.regions.t_range(q, 0.2)
+    ops["t_range.entropy r=0.5"] = lambda m: m.regions.t_range("entropy", 0.5)
     # The top truncation classes: a search row at r = 2 takes N up to 960.
     ops["t_range.entropy r=2"] = lambda m: m.regions.t_range("entropy", 2.0)
     ops["symmetric_row(2, 999 T).entropy"] = (

@@ -675,7 +675,7 @@ class TestThreshold:
         r = 0.5484623718261719
         T = np.arange(regions.T_SCAN_STEP, 1.0, regions.T_SCAN_STEP)
         assert np.nanmax(symmetric_row(r, T).deltas("epr")) < -1e-5
-        assert regions._enhancement_exists("epr", r)
+        assert regions._enhancement_exists("epr", r)[0]
 
 
 def _exhaustive_enhancement_exists(quantity, r):
@@ -688,6 +688,35 @@ def _exhaustive_enhancement_exists(quantity, r):
         return True
     fine = np.linspace(T[max(best - 1, 0)], T[min(best + 1, len(T) - 1)], regions.POLISH_POINTS)
     return bool(np.nanmax(regions.symmetric_row(r, fine).deltas(quantity)) > ENHANCEMENT_GUARD)
+
+
+def _exhaustive_threshold(quantity, tol=regions.DEFAULT_TOL):
+    """regions.threshold's r_star as it was before the steered bisection:
+    _exhaustive_enhancement_exists at both ends and at every midpoint."""
+    lo, hi = regions.R_BRACKET
+    assert _exhaustive_enhancement_exists(quantity, lo)
+    if _exhaustive_enhancement_exists(quantity, hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _exhaustive_enhancement_exists(quantity, mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _count_full_scans(monkeypatch):
+    """A one-element list that counts the calls of
+    regions._enhancement_exists from here on."""
+    calls = [0]
+    exists = regions._enhancement_exists
+
+    def counting(quantity, r):
+        calls[0] += 1
+        return exists(quantity, r)
+    monkeypatch.setattr(regions, "_enhancement_exists", counting)
+    return calls
 
 
 class TestEntropyBound:
@@ -722,7 +751,7 @@ class TestEntropyBound:
         rs = np.concatenate([np.linspace(0.01, 2.0, 40), np.linspace(0.53, 0.63, 10),
                              np.linspace(0.77, 0.80, 10)])
         for r in rs.tolist():
-            assert regions._enhancement_exists(quantity, r) == (
+            assert regions._enhancement_exists(quantity, r)[0] == (
                 _exhaustive_enhancement_exists(quantity, r)), r
 
     @pytest.mark.parametrize("loose", [False, True])
@@ -749,10 +778,29 @@ class TestEntropyBound:
 
     @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
     @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
-    def test_r_star_is_the_exhaustive_searchs(self, quantity, tol, monkeypatch):
-        got = threshold(quantity, tol).r_star
-        monkeypatch.setattr(regions, "_enhancement_exists", _exhaustive_enhancement_exists)
-        assert got.hex() == threshold(quantity, tol).r_star.hex()
+    def test_r_star_is_the_exhaustive_searchs(self, quantity, tol):
+        assert threshold(quantity, tol).r_star.hex() == _exhaustive_threshold(quantity, tol).hex()
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
+    @pytest.mark.parametrize("lie", ["always", "never"])
+    def test_a_lying_peak_test_falls_back_to_the_exhaustive_search(self, quantity, lie,
+                                                                   monkeypatch):
+        # A steering test that answers every midpoint True (or False)
+        # ends on a bracket that the exact predicate refutes, so the
+        # bisection reruns with the exact predicate at every midpoint.
+        calls = _count_full_scans(monkeypatch)
+        monkeypatch.setattr(regions, "_peak_test",
+                            (lambda q, r, T: T) if lie == "always" else (lambda q, r, T: None))
+        assert threshold(quantity).r_star.hex() == _exhaustive_threshold(quantity).hex()
+        assert calls[0] > 5
+
+    @pytest.mark.parametrize("quantity", ["entropy", "epr", "fidelity"])
+    def test_search_makes_few_full_scans(self, quantity, monkeypatch):
+        # Both ends, the midpoints up to the first enhancing one, and the
+        # final bracket's upper end; the exhaustive search makes 13.
+        calls = _count_full_scans(monkeypatch)
+        threshold(quantity)
+        assert calls[0] <= 5
 
     def test_entropy_search_computes_few_cells(self, monkeypatch):
         # Every exact delta of the search comes from symmetric_row.
@@ -765,9 +813,8 @@ class TestEntropyBound:
         monkeypatch.setattr(regions, "symmetric_row", counting)
         threshold("entropy")
         pruned = counted[0]
-        monkeypatch.setattr(regions, "_enhancement_exists", _exhaustive_enhancement_exists)
         counted[0] = 0
-        threshold("entropy")
+        _exhaustive_threshold("entropy")
         assert counted[0] == 13_890
         assert pruned < 0.01 * counted[0]
 
@@ -837,10 +884,34 @@ class TestTRange:
         # than the cap allows; a bound that settled every cell would
         # return [] instead.  The EPR and fidelity sums need no truncation
         # and enhance nowhere.
-        with pytest.raises(ParameterError, match="truncation above the cap"):
-            t_range("entropy", 3.0)
+        # The error names the first scan cell above the cap, as a scan of
+        # exact deltas at every cell does.
+        for r, T in ((2.45, 0.999), (3.0, 0.989), (10.0, 0.984)):
+            with pytest.raises(ParameterError, match=(
+                    rf"^\(r, T1, T2\) = \({r}, {T}, {T}\) needs a truncation above the cap")):
+                t_range("entropy", r)
         assert t_range("epr", 3.0) == []
         assert t_range("fidelity", 3.0) == []
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4])
+    def test_pruned_entropy_scan_is_the_full_scans(self, tol, monkeypatch):
+        # The scan computes the exact entropy only where the bound
+        # exceeds the guard; with an infinite bound it computes every
+        # cell, as a full scan does.
+        cells = [0]
+        entropy = regions._broadcast_entropy
+
+        def counting(r, T1, T2):
+            cells[0] += np.size(T1)
+            return entropy(r, T1, T2)
+        monkeypatch.setattr(regions, "_broadcast_entropy", counting)
+        rs = np.random.default_rng(28).uniform(0.0, 2.4, 6).tolist() + [2.4]
+        pruned = [t_range("entropy", r, tol) for r in rs]
+        pruned_cells, cells[0] = cells[0], 0
+        monkeypatch.setattr(regions, "_entropy_delta_bound",
+                            lambda r, T: np.full(len(T), np.inf))
+        assert pruned == [t_range("entropy", r, tol) for r in rs]
+        assert pruned_cells < 0.5 * cells[0]
 
     def test_fine_scan_is_blocked(self, monkeypatch):
         # At tol = 1e-6 the scan has 999,999 cells.  As one row it peaked
